@@ -5,154 +5,22 @@ sellers (capability-ranked VM slots offered by service providers), an exact
 welfare-maximizing auction with pivot payments, a fast greedy matching built
 on preference lists, and three baseline allocators for comparison.
 """
-from .model import (
-    TOLERANCE,
-    Assignment,
-    BuyerId,
-    GraphJob,
-    JobEdge,
-    Scenario,
-    Seller,
-    SellerId,
-    ServiceProvider,
-    ValuationConfig,
-    VirtualMachine,
-    contact_probability,
-    expand_vms,
-    max_rank_for,
-    scenario_dumps,
-    scenario_from_dict,
-    scenario_loads,
-    scenario_to_dict,
-    validate_scenario,
-)
-from .economics import (
-    assignment_feasible,
-    edge_feasible,
-    extension_feasible,
-    gross_utility,
-    objective,
-    pair_feasible,
-    true_valuation,
-    uos,
-)
-from .optimal import (
-    BudgetExceeded,
-    OptOutcome,
-    SolveResult,
-    default_bid_grid,
-    run_optimal_mechanism,
-    solve_naive,
-    solve_optimal,
-    vcg_payment,
-    verify_truthfulness_opt,
-)
-from .matching import (
-    BrokerPrefList,
-    BuyerPrefList,
-    MatchingOutcome,
-    PrefEntry,
-    build_broker_list,
-    build_buyer_list,
-    match,
-    matching_payment,
-    run_matching,
-    verify_truthfulness_matching,
-)
-from .baselines import BASELINE_KINDS, run_baseline
-from .generator import (
-    GenConfig,
-    JOB_TYPE_LIBRARY,
-    JobTypeSpec,
-    PRESET_NAMES,
-    config_from_dict,
-    config_to_dict,
-    generate,
-    preset,
-    validate_config,
-)
-from .harness import (
-    MECHANISMS,
-    MechanismRun,
-    bench_sweep,
-    experiment,
-    ir_violations,
-    run_mechanism,
-    run_to_doc,
-    scenario_digest,
-    serialize_buyer_lists,
-    verify_report,
-)
+from . import baselines, economics, generator, harness, matching, model, optimal
+from .model import *  # noqa: F403
+from .economics import *  # noqa: F403
+from .optimal import *  # noqa: F403
+from .matching import *  # noqa: F403
+from .baselines import *  # noqa: F403
+from .generator import *  # noqa: F403
+from .harness import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TOLERANCE",
-    "Assignment",
-    "BuyerId",
-    "GraphJob",
-    "JobEdge",
-    "Scenario",
-    "Seller",
-    "SellerId",
-    "ServiceProvider",
-    "ValuationConfig",
-    "VirtualMachine",
-    "contact_probability",
-    "expand_vms",
-    "max_rank_for",
-    "scenario_dumps",
-    "scenario_from_dict",
-    "scenario_loads",
-    "scenario_to_dict",
-    "validate_scenario",
-    "assignment_feasible",
-    "edge_feasible",
-    "extension_feasible",
-    "gross_utility",
-    "objective",
-    "pair_feasible",
-    "true_valuation",
-    "uos",
-    "BudgetExceeded",
-    "OptOutcome",
-    "SolveResult",
-    "default_bid_grid",
-    "run_optimal_mechanism",
-    "solve_naive",
-    "solve_optimal",
-    "vcg_payment",
-    "verify_truthfulness_opt",
-    "BrokerPrefList",
-    "BuyerPrefList",
-    "MatchingOutcome",
-    "PrefEntry",
-    "build_broker_list",
-    "build_buyer_list",
-    "match",
-    "matching_payment",
-    "run_matching",
-    "verify_truthfulness_matching",
-    "BASELINE_KINDS",
-    "run_baseline",
-    "GenConfig",
-    "JOB_TYPE_LIBRARY",
-    "JobTypeSpec",
-    "PRESET_NAMES",
-    "config_from_dict",
-    "config_to_dict",
-    "generate",
-    "preset",
-    "validate_config",
-    "MECHANISMS",
-    "MechanismRun",
-    "bench_sweep",
-    "experiment",
-    "ir_violations",
-    "run_mechanism",
-    "run_to_doc",
-    "scenario_digest",
-    "serialize_buyer_lists",
-    "verify_report",
-    "__version__",
-]
+# Each module's public names, once each.
+__all__ = list(
+    dict.fromkeys(
+        name
+        for mod in (model, economics, optimal, matching, baselines, generator, harness)
+        for name in mod.__all__
+    )
+) + ["__version__"]

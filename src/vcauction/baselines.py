@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Assignment, BuyerId, Scenario, SellerId
-from .economics import extension_feasible
+from .model import Assignment, Scenario
+from .economics import Market
 
 __all__ = ["BASELINE_KINDS", "run_baseline"]
 
@@ -23,36 +23,41 @@ def run_baseline(
     seed: int = 0,
     max_restarts: int = 20,
 ) -> Assignment | None:
-    """Run one baseline policy; None when every attempt dead-ends."""
+    """Run one baseline policy; None when every attempt dead-ends.
+
+    Ties go to the lowest SellerId, and rmm draws uniformly from the
+    candidates in SellerId order.
+    """
     kind = kind.lower()
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}, expected one of {BASELINE_KINDS}")
     rng = np.random.default_rng(seed)
-    buyers = list(s.buyers)
-    if not buyers:
+    if not s.buyers:
         return Assignment(())
+    m = Market(s)
+    key = m.cap if kind == "etpm" else m.bid
 
     for _attempt in range(max_restarts + 1):
-        order = [buyers[i] for i in rng.permutation(len(buyers))]
-        assigned: dict[BuyerId, SellerId] = {}
-        dead = False
-        for buyer in order:
-            candidates = [
-                sel
-                for sel in s.sellers
-                if extension_feasible(s, assigned, buyer, sel.id)
-            ]
-            if not candidates:
-                dead = True
+        order = rng.permutation(len(m.buyers)).tolist()
+        free = np.ones(len(m.sellers), dtype=bool)
+        chosen = [-1] * len(m.buyers)
+        for bi in order:
+            # C1, C4, and C2 against every already-placed neighbour.
+            row = m.feasible[bi] & free
+            for j, allowed in m.edges[bi]:
+                if chosen[j] >= 0:
+                    row &= allowed[m.sp_of, m.sp_of[chosen[j]]]
+            candidates = np.flatnonzero(row)
+            if not candidates.size:
                 break
-            candidates.sort(key=lambda sel: sel.id)
-            if kind == "etpm":
-                pick = min(candidates, key=lambda sel: (sel.capability, sel.id))
-            elif kind == "lpm":
-                pick = min(candidates, key=lambda sel: (sel.bid, sel.id))
+            if kind == "rmm":
+                pick = int(candidates[int(rng.integers(candidates.size))])
             else:
-                pick = candidates[int(rng.integers(len(candidates)))]
-            assigned[buyer] = pick.id
-        if not dead:
-            return Assignment.from_pairs(list(assigned.items()))
+                pick = int(candidates[np.argmin(key[candidates])])
+            chosen[bi] = pick
+            free[pick] = False
+        else:
+            return Assignment.from_pairs(
+                [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(chosen)]
+            )
     return None

@@ -7,10 +7,18 @@ and the UoS is strictly positive. Structure preservation (C2) requires the
 inter-provider contact to survive each job edge's transmission time with
 probability at least epsilon. C3 demands every buyer matched, C4 lets each
 seller serve at most one buyer.
+
+The scalar predicates below are the readable specification. `Market`
+compiles a scenario once into arrays that give the same answers for every
+pair, and the mechanisms read the compiled form.
 """
 from __future__ import annotations
 
+import copy
+import math
 from typing import Mapping
+
+import numpy as np
 
 from .model import (
     TOLERANCE,
@@ -32,6 +40,7 @@ __all__ = [
     "extension_feasible",
     "assignment_feasible",
     "objective",
+    "Market",
 ]
 
 
@@ -136,3 +145,80 @@ def objective(s: Scenario, a: Assignment) -> float:
         t = s.tolerable_time(buyer)
         total += uos(s.alpha(buyer), gross_utility(t, sel.capability), sel.bid)
     return total
+
+
+class Market:
+    """A scenario compiled once for the mechanisms; never mutated after build.
+
+    Rows follow `Scenario.buyers`; columns are sellers in `SellerId` order,
+    whatever the order of `s.sellers`. Excluded sellers are dropped, not
+    masked, so every column is a seller the mechanisms may use.
+
+    - `uos[i, k]` repeats the float operations of `uos`, so values are equal
+      to the scalar ones bit for bit.
+    - `feasible[i, k]` is C1 (`pair_feasible`).
+    - `sp_of[k]` is seller k's provider.
+    - `edges[i]` lists buyer i's job-edge neighbours as `(j, allowed)`, where
+      `allowed[m1, m2]` is C2 (`edge_feasible`) for buyer i on provider m1
+      and buyer j on m2.
+    """
+
+    def __init__(self, s: Scenario, excluded: frozenset[SellerId] = frozenset()):
+        kept = [sel for sel in s.sellers if sel.id not in excluded] if excluded else s.sellers
+        sellers = sorted(kept, key=lambda sel: (sel.id.sp_index, sel.id.vm_index, sel.id.rank))
+        self.buyers = s.buyers
+        self.sellers = tuple(sel.id for sel in sellers)
+        self.buyer_index = {b: i for i, b in enumerate(self.buyers)}
+        self.seller_index = {sid: k for k, sid in enumerate(self.sellers)}
+        self.sp_of = np.array([sid.sp_index for sid in self.sellers], dtype=np.intp)
+        self.cap = np.array([sel.capability for sel in sellers], dtype=np.float64)
+        self.bid = np.array([sel.bid for sel in sellers], dtype=np.float64)
+        jobs = [s.job_of(b) for b in self.buyers]
+        self._alpha = np.array([job.alpha for job in jobs], dtype=np.float64)
+        self._t = np.array(
+            [job.tolerable_times[b.component_index] for job, b in zip(jobs, self.buyers)],
+            dtype=np.float64,
+        )
+        covers = np.array(
+            [[sid.sp_index in cov for sid in self.sellers] for cov in s.coverage], dtype=bool
+        ).reshape(len(s.coverage), len(self.sellers))
+        covered = covers[[b.job_index for b in self.buyers]]
+        # C1 without the UoS test, which is all a bid change can move.
+        self._admissible = covered & (self._t[:, None] + TOLERANCE >= self.cap)
+        self.uos = self._alpha[:, None] * (self._t[:, None] - self.cap) - self.bid
+        self.feasible = self._admissible & (self.uos > TOLERANCE)
+
+        # C2 for every job edge and provider pair at once. The exponentials go
+        # through math.exp, as in contact_probability: an ulp of difference
+        # from np.exp could flip a borderline test.
+        n_sp = len(s.sps)
+        job_edges = [(job.owner_index, e) for job in s.jobs for e in job.edges]
+        rates = np.array(s.contact_rate, dtype=np.float64).reshape(n_sp, n_sp)
+        weights = np.array([e.weight for _, e in job_edges], dtype=np.float64)
+        exponents = (-rates * weights[:, None, None]).ravel().tolist()
+        prob = np.array([math.exp(x) for x in exponents], dtype=np.float64)
+        tables = prob.reshape(len(job_edges), n_sp, n_sp) >= s.epsilon - TOLERANCE
+        tables |= np.eye(n_sp, dtype=bool)
+        row = {(b.job_index, b.component_index): i for i, b in enumerate(self.buyers)}
+        self.edges: list[list[tuple[int, np.ndarray]]] = [[] for _ in self.buyers]
+        for (n, e), allowed in zip(job_edges, tables):
+            i, j = row[n, e.x1], row[n, e.x2]
+            self.edges[i].append((j, allowed))
+            self.edges[j].append((i, allowed))
+
+    def with_bid(self, sid: SellerId, bid: float) -> "Market":
+        """A copy in which one seller reports `bid`; coverage and C2 are shared."""
+        k = self.seller_index[sid]
+        m = copy.copy(self)
+        m.bid = self.bid.copy()
+        m.bid[k] = bid
+        m.uos = self.uos.copy()
+        m.uos[:, k] = self._alpha * (self._t - self.cap[k]) - bid
+        m.feasible = self.feasible.copy()
+        m.feasible[:, k] = self._admissible[:, k] & (m.uos[:, k] > TOLERANCE)
+        return m
+
+    def edge_lists(self) -> list[list[tuple[int, list[list[bool]]]]]:
+        """`edges` with Python-list tables, for per-node loops where indexing
+        numpy scalars would be slower."""
+        return [[(j, allowed.tolist()) for j, allowed in nbrs] for nbrs in self.edges]

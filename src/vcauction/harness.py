@@ -18,7 +18,7 @@ from .model import (
     TOLERANCE,
     scenario_dumps,
 )
-from .economics import assignment_feasible, objective
+from .economics import Market, assignment_feasible, objective
 from .optimal import (
     BudgetExceeded,
     run_optimal_mechanism,
@@ -99,7 +99,7 @@ def run_mechanism(
     elif name == "maxuosg":
         outcome = run_matching(s)
         detail["trace_events"] = len(outcome.match_trace)
-        detail["match_trace"] = [list(ev) for ev in outcome.match_trace]
+        detail["match_trace"] = outcome.match_trace
         if outcome.success:
             assignment = outcome.assignment
             payments = outcome.payments
@@ -186,7 +186,7 @@ def run_to_doc(s: Scenario, run: MechanismRun) -> dict:
         doc["payments"] = _payments_doc(run.payments)
     doc.update({k: v for k, v in run.detail.items() if k != "match_trace"})
     if "match_trace" in run.detail:
-        doc["match_trace"] = run.detail["match_trace"]
+        doc["match_trace"] = [list(ev) for ev in run.detail["match_trace"]]
     return doc
 
 
@@ -328,7 +328,8 @@ def verify_report(
         )
 
     if mechanism == "maxuosg":
-        lists = {b: build_buyer_list(s, b) for b in s.buyers}
+        market = Market(s)
+        lists = {b: build_buyer_list(s, b, market=market) for b in s.buyers}
         report["buyer_lists"] = serialize_buyer_lists(lists)
         report["broker_list"] = [
             {

@@ -14,14 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import TOLERANCE, Assignment, BuyerId, Scenario, SellerId
-from .economics import (
-    edge_feasible,
-    gross_utility,
-    objective,
-    pair_feasible,
-    uos,
-)
+from .economics import Market, gross_utility, objective
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -86,24 +82,27 @@ def build_buyer_list(
     buyer: BuyerId,
     delta: float = DEFAULT_DELTA,
     top_k: int | None = None,
+    market: Market | None = None,
 ) -> BuyerPrefList:
     """Rank feasible sellers by value, best first, virtual entry last.
 
     top_k truncates to the best k real entries before the virtual entry is
     appended. An empty real list yields a single virtual entry of value
-    -delta.
+    -delta. `market` is `s` compiled, when the caller already has it.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    t = s.tolerable_time(buyer)
-    alpha = s.alpha(buyer)
-    real = []
-    for sel in s.sellers:
-        if not pair_feasible(s, buyer, sel.id):
-            continue
-        value = uos(alpha, gross_utility(t, sel.capability), sel.bid)
-        real.append(PrefEntry(buyer, sel.id, value))
-    real.sort(key=lambda e: (-e.value, e.seller))
+    m = market if market is not None else Market(s)
+    bi = m.buyer_index.get(buyer)
+    if bi is None:
+        raise ValueError(f"unknown buyer {buyer.label()}")
+    cols = np.flatnonzero(m.feasible[bi])
+    values = m.uos[bi, cols]
+    rank = np.lexsort((cols, -values))
+    real = [
+        PrefEntry(buyer, m.sellers[k], v)
+        for k, v in zip(cols[rank].tolist(), values[rank].tolist())
+    ]
     if top_k is not None:
         real = real[: max(0, top_k)]
     floor = real[-1].value if real else 0.0
@@ -118,42 +117,17 @@ def build_broker_list(lists: list[BuyerPrefList]) -> BrokerPrefList:
     return BrokerPrefList(tuple(merged))
 
 
-def _acceptable(
-    s: Scenario,
-    entry: PrefEntry,
-    matched_buyers: dict[BuyerId, SellerId],
-    matched_sellers: set[SellerId],
-) -> str | None:
-    """None when the entry can join the partial match, else a reject reason."""
-    if entry.buyer in matched_buyers or entry.seller in matched_sellers:
-        return "taken"
-    if not pair_feasible(s, entry.buyer, entry.seller):
-        return "c1"
-    job = s.job_of(entry.buyer)
-    for e in job.edges:
-        if e.x1 == entry.buyer.component_index:
-            other = BuyerId(entry.buyer.job_index, e.x2)
-        elif e.x2 == entry.buyer.component_index:
-            other = BuyerId(entry.buyer.job_index, e.x1)
-        else:
-            continue
-        partner = matched_buyers.get(other)
-        if partner is not None and not edge_feasible(
-            s, entry.seller.sp_index, partner.sp_index, e.weight
-        ):
-            return "c2"
-    return None
-
-
 def match(
-    s: Scenario, broker: BrokerPrefList
+    s: Scenario, broker: BrokerPrefList, market: Market | None = None
 ) -> tuple[Assignment | None, tuple[tuple, ...]]:
     """Scan the broker list until every buyer is matched or anchors run out.
 
     Returns the assignment (None on failure) and a trace of scan events:
     ("accept"|"skip"|"reject"|"delete"|"restart", index) plus a final
     ("complete",) or ("fail",). Accepted pairs always sit at increasing list
-    positions, so the most recently accepted pair is the deepest one.
+    positions, so the most recently accepted pair is the deepest one. A
+    buyer with no entry at all fails the scan at once, with trace
+    (("fail",),). `market` is `s` compiled, when the caller already has it.
     """
     entries = broker.entries
     total_buyers = len(s.buyers)
@@ -161,45 +135,67 @@ def match(
     if total_buyers == 0:
         trace.append(("complete",))
         return Assignment(()), tuple(trace)
-    if not entries:
+    m = market if market is not None else Market(s)
+    eb = [m.buyer_index[e.buyer] for e in entries]
+    es = [m.seller_index[e.seller] for e in entries]
+    if len(set(eb)) < total_buyers:
         trace.append(("fail",))
         return None, tuple(trace)
 
+    c1 = m.feasible[eb, es].tolist()
+    sp_of, edges = m.sp_of.tolist(), m.edge_lists()
+    seller_of = [-1] * total_buyers
+    taken = [False] * len(m.sellers)
+
+    def put(i: int) -> None:
+        seller_of[eb[i]] = es[i]
+        taken[es[i]] = True
+
+    def drop(i: int) -> None:
+        seller_of[eb[i]] = -1
+        taken[es[i]] = False
+
+    def result() -> Assignment:
+        return Assignment.from_pairs(
+            [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(seller_of)]
+        )
+
     L = len(entries)
     stack: list[int] = [0]
-    matched_buyers: dict[BuyerId, SellerId] = {entries[0].buyer: entries[0].seller}
-    matched_sellers: set[SellerId] = {entries[0].seller}
+    put(0)
     trace.append(("accept", 0))
     pos = 1
 
-    def complete() -> bool:
-        return len(stack) == total_buyers
-
-    if complete():
+    if len(stack) == total_buyers:
         trace.append(("complete",))
-        return _to_assignment(matched_buyers), tuple(trace)
+        return result(), tuple(trace)
 
     while True:
         idx = pos
-        while idx < L and not complete():
-            entry = entries[idx]
-            why = _acceptable(s, entry, matched_buyers, matched_sellers)
-            if why is None:
-                stack.append(idx)
-                matched_buyers[entry.buyer] = entry.seller
-                matched_sellers.add(entry.seller)
-                trace.append(("accept", idx))
+        while idx < L and len(stack) < total_buyers:
+            bi, si = eb[idx], es[idx]
+            if seller_of[bi] >= 0 or taken[si]:
+                trace.append(("skip", idx))
+            elif not c1[idx]:
+                trace.append(("reject", idx))
             else:
-                trace.append(("skip" if why == "taken" else "reject", idx))
+                own = sp_of[si]
+                for j, allowed in edges[bi]:
+                    sj = seller_of[j]
+                    if sj >= 0 and not allowed[own][sp_of[sj]]:
+                        trace.append(("reject", idx))
+                        break
+                else:
+                    stack.append(idx)
+                    put(idx)
+                    trace.append(("accept", idx))
             idx += 1
-        if complete():
+        if len(stack) == total_buyers:
             trace.append(("complete",))
-            return _to_assignment(matched_buyers), tuple(trace)
+            return result(), tuple(trace)
         if len(stack) > 1:
             dropped = stack.pop()
-            e = entries[dropped]
-            del matched_buyers[e.buyer]
-            matched_sellers.discard(e.seller)
+            drop(dropped)
             trace.append(("delete", dropped))
             pos = dropped + 1
         else:
@@ -207,22 +203,14 @@ def match(
             if anchor >= L:
                 trace.append(("fail",))
                 return None, tuple(trace)
-            old = entries[stack[0]]
-            del matched_buyers[old.buyer]
-            matched_sellers.discard(old.seller)
+            drop(stack[0])
             stack[0] = anchor
-            e = entries[anchor]
-            matched_buyers[e.buyer] = e.seller
-            matched_sellers.add(e.seller)
+            put(anchor)
             trace.append(("restart", anchor))
             pos = anchor + 1
-            if complete():
+            if len(stack) == total_buyers:
                 trace.append(("complete",))
-                return _to_assignment(matched_buyers), tuple(trace)
-
-
-def _to_assignment(matched: dict[BuyerId, SellerId]) -> Assignment:
-    return Assignment.from_pairs(list(matched.items()))
+                return result(), tuple(trace)
 
 
 def matching_payment(
@@ -259,16 +247,25 @@ def run_matching(
     top_k: int | None = None,
 ) -> MatchingOutcome:
     """Full pipeline: build lists, match, price winners."""
-    lists = {b: build_buyer_list(s, b, delta=delta, top_k=top_k) for b in s.buyers}
+    return _run(s, Market(s), delta, top_k)[0]
+
+
+def _run(
+    s: Scenario, market: Market, delta: float, top_k: int | None
+) -> tuple[MatchingOutcome, BrokerPrefList]:
+    """run_matching on a compiled market; also returns the broker list."""
+    lists = {
+        b: build_buyer_list(s, b, delta=delta, top_k=top_k, market=market) for b in s.buyers
+    }
     broker = build_broker_list([lists[b] for b in s.buyers])
-    assignment, trace = match(s, broker)
+    assignment, trace = match(s, broker, market=market)
     if assignment is None:
-        return MatchingOutcome(None, 0.0, {}, trace)
+        return MatchingOutcome(None, 0.0, {}, trace), broker
     payments = {
         sid: matching_payment(s, lists, assignment, sid)
         for sid in assignment.seller_to_buyer()
     }
-    return MatchingOutcome(assignment, objective(s, assignment), payments, trace)
+    return MatchingOutcome(assignment, objective(s, assignment), payments, trace), broker
 
 
 def _classify(utility: float, truthful_utility: float, won: bool) -> str:
@@ -303,13 +300,12 @@ def verify_truthfulness_matching(
     if not any(b == q for b in grid):
         raise ValueError("bid grid must contain the true value")
 
-    def broker_shape(sc: Scenario) -> tuple:
-        lists = {b: build_buyer_list(sc, b, delta=delta, top_k=top_k) for b in sc.buyers}
-        broker = build_broker_list([lists[b] for b in sc.buyers])
+    def shape(broker: BrokerPrefList) -> tuple:
         return tuple((e.buyer, e.seller) for e in broker.entries)
 
-    truthful_shape = broker_shape(s)
-    truthful = run_matching(s, delta=delta, top_k=top_k)
+    market = Market(s)
+    truthful, broker = _run(s, market, delta, top_k)
+    truthful_shape = shape(broker)
     if truthful.success and sid in truthful.payments:
         truthful_utility = truthful.payments[sid] - q
     else:
@@ -317,8 +313,9 @@ def verify_truthfulness_matching(
 
     rows = []
     for bid in grid:
-        s2 = s.with_seller_bid(sid, bid)
-        outcome = run_matching(s2, delta=delta, top_k=top_k)
+        outcome, broker = _run(
+            s.with_seller_bid(sid, bid), market.with_bid(sid, bid), delta, top_k
+        )
         won = outcome.success and sid in outcome.payments
         payment = outcome.payments[sid] if won else None
         utility = (payment - q) if won else 0.0
@@ -328,7 +325,7 @@ def verify_truthfulness_matching(
                 "won": won,
                 "payment": payment,
                 "utility": utility,
-                "order_preserved": broker_shape(s2) == truthful_shape,
+                "order_preserved": shape(broker) == truthful_shape,
                 "classification": _classify(utility, truthful_utility, won),
             }
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, Scenario, SellerId
-from .economics import gross_utility, objective, uos
+from .economics import Market, objective
 
 __all__ = [
     "BudgetExceeded",
@@ -57,70 +57,16 @@ class OptOutcome:
     explored_nodes: int
 
 
-class _Problem:
-    """Scenario flattened into index arrays for the searches."""
-
-    def __init__(self, s: Scenario, excluded: frozenset[SellerId] = frozenset()):
-        self.s = s
-        self.buyers = list(s.buyers)
-        self.sellers = [sel for sel in s.sellers if sel.id not in excluded]
-        nb, ns = len(self.buyers), len(self.sellers)
-        self.nb, self.ns = nb, ns
-        self.uos = [[0.0] * ns for _ in range(nb)]
-        self.feasible = [[False] * ns for _ in range(nb)]
-        self.feas_mask = [0] * nb
-        for bi, buyer in enumerate(self.buyers):
-            t = s.tolerable_time(buyer)
-            alpha = s.alpha(buyer)
-            cov = s.coverage[buyer.job_index]
-            for si, sel in enumerate(self.sellers):
-                if sel.id.sp_index not in cov:
-                    continue
-                if t + TOLERANCE < sel.capability:
-                    continue
-                value = uos(alpha, gross_utility(t, sel.capability), sel.bid)
-                if value > TOLERANCE:
-                    self.uos[bi][si] = value
-                    self.feasible[bi][si] = True
-                    self.feas_mask[bi] |= 1 << si
-        self.best_uos = [
-            max((self.uos[bi][si] for si in range(ns) if self.feasible[bi][si]), default=0.0)
-            for bi in range(nb)
-        ]
-        self.sp_of = [sel.id.sp_index for sel in self.sellers]
-
-        buyer_pos = {b: i for i, b in enumerate(self.buyers)}
-        n_sp = len(s.sps)
-        self.edges_of: list[list[tuple[int, tuple[tuple[bool, ...], ...]]]] = [
-            [] for _ in range(nb)
-        ]
-        for b1, b2, weight in s.job_edges():
-            allowed = tuple(
-                tuple(
-                    m1 == m2
-                    or math.exp(-s.rate(m1, m2) * weight) >= s.epsilon - TOLERANCE
-                    for m2 in range(n_sp)
-                )
-                for m1 in range(n_sp)
-            )
-            i, j = buyer_pos[b1], buyer_pos[b2]
-            self.edges_of[i].append((j, allowed))
-            self.edges_of[j].append((i, allowed))
-
-    def pair_list(self, assigned: list[int]) -> tuple:
-        pairs = [
-            (self.buyers[bi], self.sellers[si].id)
-            for bi, si in enumerate(assigned)
-            if si >= 0
-        ]
-        return tuple(sorted(pairs))
+def _pair_list(m: Market, assigned: list[int]) -> tuple:
+    pairs = [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(assigned) if si >= 0]
+    return tuple(sorted(pairs))
 
 
-def _edges_ok(prob: _Problem, assigned: list[int], bi: int, si: int) -> bool:
-    sp = prob.sp_of[si]
-    for other, allowed in prob.edges_of[bi]:
+def _edges_ok(edges: list, sp_of: list[int], assigned: list[int], bi: int, si: int) -> bool:
+    sp = sp_of[si]
+    for other, allowed in edges[bi]:
         osi = assigned[other]
-        if osi >= 0 and not allowed[sp][prob.sp_of[osi]]:
+        if osi >= 0 and not allowed[sp][sp_of[osi]]:
             return False
     return True
 
@@ -137,8 +83,10 @@ def solve_naive(
     is benchmarked against.
     """
     deadline = time.perf_counter() + budget_secs if budget_secs is not None else None
-    prob = _Problem(s, excluded)
-    nb, ns = prob.nb, prob.ns
+    m = Market(s, excluded)
+    nb, ns = len(m.buyers), len(m.sellers)
+    uos, feasible, sp_of = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist()
+    edges = m.edge_lists()
     count = 0
     best_value = -math.inf
     best_pairs: tuple | None = None
@@ -153,14 +101,14 @@ def solve_naive(
             ok = True
             for pos, bi in enumerate(order):
                 si = subset[pos]
-                if not prob.feasible[bi][si] or not _edges_ok(prob, assigned, bi, si):
+                if not feasible[bi][si] or not _edges_ok(edges, sp_of, assigned, bi, si):
                     ok = False
                     break
                 assigned[bi] = si
-                total += prob.uos[bi][si]
+                total += uos[bi][si]
             if not ok:
                 continue
-            pairs = prob.pair_list(assigned)
+            pairs = _pair_list(m, assigned)
             if total > best_value + TOLERANCE:
                 best_value, best_pairs = total, pairs
             elif total >= best_value - TOLERANCE and (
@@ -172,24 +120,6 @@ def solve_naive(
         return SolveResult(None, 0.0, count)
     assignment = Assignment(best_pairs)
     return SolveResult(assignment, objective(s, assignment), count)
-
-
-def _greedy_seed(prob: _Problem, order: list[int]) -> list[int] | None:
-    """Cheap feasible completion used to prime the search bound."""
-    assigned = [-1] * prob.nb
-    used = 0
-    for bi in order:
-        best_si, best_v = -1, -math.inf
-        for si in range(prob.ns):
-            if not prob.feasible[bi][si] or (used >> si) & 1:
-                continue
-            if prob.uos[bi][si] > best_v and _edges_ok(prob, assigned, bi, si):
-                best_si, best_v = si, prob.uos[bi][si]
-        if best_si < 0:
-            return None
-        assigned[bi] = best_si
-        used |= 1 << best_si
-    return assigned
 
 
 def solve_optimal(
@@ -210,35 +140,46 @@ def solve_optimal(
         d = time.perf_counter() + budget_secs
         deadline = d if deadline is None else min(deadline, d)
 
-    prob = _Problem(s, excluded)
-    nb = prob.nb
+    m = Market(s, excluded)
+    nb, ns = len(m.buyers), len(m.sellers)
     if nb == 0:
         return SolveResult(Assignment(()), 0.0, 0)
-    if require_complete and any(prob.feas_mask[bi] == 0 for bi in range(nb)):
+    uos, feasible, sp_of = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist()
+    edges = m.edge_lists()
+    feas_mask = [sum(1 << si for si in range(ns) if feasible[bi][si]) for bi in range(nb)]
+    if require_complete and any(mask == 0 for mask in feas_mask):
         return SolveResult(None, 0.0, 0)
 
     # Most constrained buyer first; candidates by descending value.
-    order = sorted(range(nb), key=lambda bi: (bin(prob.feas_mask[bi]).count("1"), bi))
+    order = sorted(range(nb), key=lambda bi: (bin(feas_mask[bi]).count("1"), bi))
     candidates = [
-        sorted(
-            (si for si in range(prob.ns) if prob.feasible[bi][si]),
-            key=lambda si: (-prob.uos[bi][si], si),
-        )
+        sorted((si for si in range(ns) if feasible[bi][si]), key=lambda si: (-uos[bi][si], si))
         for bi in range(nb)
     ]
     suffix_bound = [0.0] * (nb + 1)
     for pos in range(nb - 1, -1, -1):
-        suffix_bound[pos] = suffix_bound[pos + 1] + prob.best_uos[order[pos]]
+        bi = order[pos]
+        suffix_bound[pos] = suffix_bound[pos + 1] + max(
+            (uos[bi][si] for si in candidates[bi]), default=0.0
+        )
 
     best_value = -math.inf
     best_pairs: tuple | None = None
 
     if require_complete:
-        seed = _greedy_seed(prob, order)
-        if seed is not None:
-            pairs = prob.pair_list(seed)
-            best_pairs = pairs
-            best_value = sum(prob.uos[bi][si] for bi, si in enumerate(seed))
+        # Greedy completion in search order primes the bound.
+        seed = [-1] * nb
+        used = 0
+        for bi in order:
+            free = [si for si in candidates[bi] if not (used >> si) & 1]
+            pick = next((si for si in free if _edges_ok(edges, sp_of, seed, bi, si)), -1)
+            if pick < 0:
+                break
+            seed[bi] = pick
+            used |= 1 << pick
+        else:
+            best_pairs = _pair_list(m, seed)
+            best_value = sum(uos[bi][si] for bi, si in enumerate(seed))
 
     assigned = [-1] * nb
     nodes = 0
@@ -246,7 +187,7 @@ def solve_optimal(
 
     def consider(total: float) -> None:
         nonlocal best_value, best_pairs
-        pairs = prob.pair_list(assigned)
+        pairs = _pair_list(m, assigned)
         if total > best_value + TOLERANCE:
             best_value, best_pairs = total, pairs
         elif total >= best_value - TOLERANCE and (
@@ -271,16 +212,16 @@ def solve_optimal(
         if require_complete:
             # Forward check: every unassigned buyer still needs a free seller.
             for later in range(pos, nb):
-                if prob.feas_mask[order[later]] & ~used == 0:
+                if feas_mask[order[later]] & ~used == 0:
                     return
         for si in candidates[bi]:
             if (used >> si) & 1:
                 continue
-            if not _edges_ok(prob, assigned, bi, si):
+            if not _edges_ok(edges, sp_of, assigned, bi, si):
                 continue
             nodes += 1
             assigned[bi] = si
-            dfs(pos + 1, used | (1 << si), total + prob.uos[bi][si])
+            dfs(pos + 1, used | (1 << si), total + uos[bi][si])
             assigned[bi] = -1
         if not require_complete:
             dfs(pos + 1, used, total)

@@ -4,12 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vcauction import (
     Assignment,
     BuyerId,
     GraphJob,
     JobEdge,
+    Market,
     Scenario,
     SellerId,
     ServiceProvider,
@@ -19,9 +21,11 @@ from vcauction import (
     edge_feasible,
     expand_vms,
     extension_feasible,
+    generate,
     gross_utility,
     objective,
     pair_feasible,
+    preset,
     true_valuation,
     uos,
     validate_scenario,
@@ -222,3 +226,58 @@ def test_extension_feasible_rejects_taken():
     assigned = {b0: sid}
     assert not extension_feasible(s, assigned, b0, SellerId(2, 0, 1))
     assert not extension_feasible(s, assigned, b1, sid)
+
+
+def _kernel_scenario(source: str, seed: int, reverse: bool):
+    s = make_tiny(seed) if source == "tiny" else generate(preset(source), seed=seed)
+    # The kernel's columns follow SellerId order whatever the scenario's order.
+    return dataclasses.replace(s, sellers=s.sellers[::-1]) if reverse else s
+
+
+def _assert_kernel_matches_spec(s, excluded, m):
+    kept = sorted(sel.id for sel in s.sellers if sel.id not in excluded)
+    assert list(m.sellers) == kept and m.buyers == s.buyers
+    assert m.sp_of.tolist() == [sid.sp_index for sid in kept]
+    for i, b in enumerate(s.buyers):
+        for k, sid in enumerate(kept):
+            sel = s.seller(sid)
+            want = uos(s.alpha(b), gross_utility(s.tolerable_time(b), sel.capability), sel.bid)
+            assert m.uos[i, k] == want
+            assert m.feasible[i, k] == pair_feasible(s, b, sid)
+    n_sp = len(s.sps)
+    tables = {(i, j): allowed for i, nbrs in enumerate(m.edges) for j, allowed in nbrs}
+    assert len(tables) == sum(len(nbrs) for nbrs in m.edges) == 2 * len(list(s.job_edges()))
+    for b1, b2, weight in s.job_edges():
+        i, j = s.buyers.index(b1), s.buyers.index(b2)
+        want = [[edge_feasible(s, m1, m2, weight) for m2 in range(n_sp)] for m1 in range(n_sp)]
+        assert tables[i, j].tolist() == want and tables[j, i].tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sampled_from(["tiny", "tiny", "small", "large"]),
+    seed=st.integers(0, 10_000),
+    reverse=st.booleans(),
+    data=st.data(),
+)
+def test_market_kernel_equals_scalar_rules(source, seed, reverse, data):
+    """Every cell of the compiled kernel equals the scalar C1/UoS/C2 rules,
+    with and without excluded sellers, and with_bid equals a fresh compile
+    of the re-bid scenario."""
+    s = _kernel_scenario(source, seed, reverse)
+    ids = sorted(sel.id for sel in s.sellers)
+    excluded = frozenset(data.draw(st.lists(st.sampled_from(ids), max_size=3)) if ids else [])
+    m = Market(s, excluded)
+    _assert_kernel_matches_spec(s, excluded, m)
+    if not m.sellers:
+        return
+    sid = data.draw(st.sampled_from(m.sellers))
+    bid = s.seller(sid).true_value * data.draw(st.floats(0.25, 3.0))
+    rebid = m.with_bid(sid, bid)
+    fresh = Market(s.with_seller_bid(sid, bid), excluded)
+    assert np.array_equal(rebid.uos, fresh.uos)
+    assert np.array_equal(rebid.feasible, fresh.feasible)
+    assert np.array_equal(rebid.bid, fresh.bid)
+    assert all(a is b for (_, a), (_, b) in zip(sum(rebid.edges, []), sum(m.edges, [])))
+    # The source kernel is left as it was.
+    _assert_kernel_matches_spec(s, excluded, m)

@@ -1,7 +1,9 @@
 """Greedy list-matching tests: list construction, the scan itself, pricing,
 and the bid-sweep classification."""
 import collections
+import dataclasses
 import json
+import time
 
 import pytest
 
@@ -161,6 +163,27 @@ def test_uncoverable_buyer_fails():
     assert out.assignment is None
     assert out.payments == {}
     assert out.match_trace[-1] == ("fail",)
+
+
+def test_unservable_buyer_fails_fast():
+    """A valid scenario in which one buyer has no admissible seller fails at
+    once; the unbounded backtracking scan used to run for minutes on it."""
+    s = generate(preset("small"), seed=0)
+    job = s.jobs[0]
+    t0 = 0.01  # below every capability
+    edges = tuple(
+        dataclasses.replace(e, weight=min(e.weight, t0)) if 0 in (e.x1, e.x2) else e
+        for e in job.edges
+    )
+    job = dataclasses.replace(job, tolerable_times=(t0,) + job.tolerable_times[1:], edges=edges)
+    s = dataclasses.replace(s, jobs=(job,) + s.jobs[1:])
+    assert validate_scenario(s) == []
+    assert not any(pair_feasible(s, BuyerId(0, 0), sel.id) for sel in s.sellers)
+    start = time.perf_counter()
+    out = run_matching(s)
+    assert time.perf_counter() - start < 1.0
+    assert out.assignment is None and out.payments == {}
+    assert out.match_trace == (("fail",),)
 
 
 def test_zero_buyers_trivially_complete():
