@@ -15,14 +15,11 @@ __all__ = ["BASELINE_KINDS", "run_baseline"]
 
 # ETPM: lowest capability first. LPM: lowest bid first. RMM: uniform random.
 BASELINE_KINDS = ("etpm", "lpm", "rmm")
+# Fresh random orders tried after the first attempt dead-ends.
+MAX_RESTARTS = 20
 
 
-def run_baseline(
-    s: Scenario,
-    kind: str,
-    seed: int = 0,
-    max_restarts: int = 20,
-) -> Assignment | None:
+def run_baseline(s: Scenario, kind: str, seed: int = 0) -> Assignment | None:
     """Run one baseline policy; None when every attempt dead-ends.
 
     Ties go to the lowest SellerId, and rmm draws uniformly from the
@@ -37,7 +34,7 @@ def run_baseline(
     m = Market(s)
     key = m.cap if kind == "etpm" else m.bid
 
-    for _attempt in range(max_restarts + 1):
+    for _attempt in range(MAX_RESTARTS + 1):
         order = rng.permutation(len(m.buyers)).tolist()
         free = np.ones(len(m.sellers), dtype=bool)
         chosen = [-1] * len(m.buyers)

@@ -1,4 +1,4 @@
-"""Valuations, utility-of-service, and the C1-C4 feasibility rules.
+"""Utility-of-service and the C1-C4 feasibility rules.
 
 UoS (utility of service) is a buyer's net benefit from one matched seller:
 alpha * (tolerable_time - capability) - bid. A pair is admissible (C1) only
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Mapping
 
 import numpy as np
 
@@ -26,33 +25,18 @@ from .model import (
     BuyerId,
     Scenario,
     SellerId,
-    ValuationConfig,
     contact_probability,
 )
 
 __all__ = [
-    "ValuationConfig",
-    "true_valuation",
     "gross_utility",
     "uos",
     "pair_feasible",
     "edge_feasible",
-    "extension_feasible",
     "assignment_feasible",
     "objective",
     "Market",
 ]
-
-
-def true_valuation(capability: float, cfg: ValuationConfig) -> float:
-    """Linear seller valuation; rejects parameterizations that price at or below zero."""
-    q = cfg.price_for(capability)
-    if q <= 0:
-        raise ValueError(
-            f"non-positive valuation {q} for capability {capability} "
-            f"(beta1={cfg.beta1}, beta2={cfg.beta2})"
-        )
-    return q
 
 
 def gross_utility(tolerable_time: float, capability: float) -> float:
@@ -80,39 +64,6 @@ def edge_feasible(s: Scenario, m1: int, m2: int, weight: float) -> bool:
     if m1 == m2:
         return True
     return contact_probability(s.rate(m1, m2), weight) >= s.epsilon - TOLERANCE
-
-
-def extension_feasible(
-    s: Scenario,
-    assigned: Mapping[BuyerId, SellerId],
-    buyer: BuyerId,
-    sid: SellerId,
-) -> bool:
-    """Would adding (buyer, sid) keep a partial assignment feasible?
-
-    Checks C1 for the new pair, C4 against sellers already in use, and C2
-    against every already-assigned neighbor of the buyer.
-    """
-    if buyer in assigned:
-        return False
-    if sid in set(assigned.values()):
-        return False
-    if not pair_feasible(s, buyer, sid):
-        return False
-    job = s.job_of(buyer)
-    for e in job.edges:
-        if e.x1 == buyer.component_index:
-            other = BuyerId(buyer.job_index, e.x2)
-        elif e.x2 == buyer.component_index:
-            other = BuyerId(buyer.job_index, e.x1)
-        else:
-            continue
-        partner = assigned.get(other)
-        if partner is not None and not edge_feasible(
-            s, sid.sp_index, partner.sp_index, e.weight
-        ):
-            return False
-    return True
 
 
 def assignment_feasible(s: Scenario, a: Assignment, require_complete: bool = False) -> bool:

@@ -1,14 +1,15 @@
 """Greedy broker matching that maximizes per-step UoS gain.
 
 Each buyer ranks its C1-feasible sellers by UoS value, with a virtual
-critical entry appended last (value: minimum real value minus delta). The
-broker merges every real entry into one list, scans it top-down, and accepts
-each pair that keeps the partial assignment feasible. Dead ends backtrack:
-with several pairs matched the most recent acceptance is dropped and the scan
-resumes just past it; with a single pair matched the anchor advances one list
-position and the scan restarts there. A winner pays its buyer's value for it
-minus the value of the entry immediately behind it in that buyer's list, so
-payment always covers the bid.
+critical entry appended last (value: minimum real value minus the paper's
+single delta, DEFAULT_DELTA). The broker merges every real entry into one
+list, scans it top-down, and accepts each pair that keeps the partial
+assignment feasible. Dead ends backtrack: with several pairs matched the
+most recent acceptance is dropped and the scan resumes just past it; with a
+single pair matched the anchor advances one list position and the scan
+restarts there. A winner pays its buyer's value for it minus the value of
+the entry immediately behind it in that buyer's list, so payment always
+covers the bid.
 """
 from __future__ import annotations
 
@@ -78,20 +79,13 @@ class MatchingOutcome:
 
 
 def build_buyer_list(
-    s: Scenario,
-    buyer: BuyerId,
-    delta: float = DEFAULT_DELTA,
-    top_k: int | None = None,
-    market: Market | None = None,
+    s: Scenario, buyer: BuyerId, market: Market | None = None
 ) -> BuyerPrefList:
     """Rank feasible sellers by value, best first, virtual entry last.
 
-    top_k truncates to the best k real entries before the virtual entry is
-    appended. An empty real list yields a single virtual entry of value
-    -delta. `market` is `s` compiled, when the caller already has it.
+    An empty real list yields a single virtual entry of value -DEFAULT_DELTA.
+    `market` is `s` compiled, when the caller already has it.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     m = market if market is not None else Market(s)
     bi = m.buyer_index.get(buyer)
     if bi is None:
@@ -103,10 +97,8 @@ def build_buyer_list(
         PrefEntry(buyer, m.sellers[k], v)
         for k, v in zip(cols[rank].tolist(), values[rank].tolist())
     ]
-    if top_k is not None:
-        real = real[: max(0, top_k)]
     floor = real[-1].value if real else 0.0
-    entries = tuple(real) + (PrefEntry(buyer, None, floor - delta),)
+    entries = tuple(real) + (PrefEntry(buyer, None, floor - DEFAULT_DELTA),)
     return BuyerPrefList(buyer, entries)
 
 
@@ -241,22 +233,14 @@ def matching_payment(
     return own - nxt.value
 
 
-def run_matching(
-    s: Scenario,
-    delta: float = DEFAULT_DELTA,
-    top_k: int | None = None,
-) -> MatchingOutcome:
+def run_matching(s: Scenario) -> MatchingOutcome:
     """Full pipeline: build lists, match, price winners."""
-    return _run(s, Market(s), delta, top_k)[0]
+    return _run(s, Market(s))[0]
 
 
-def _run(
-    s: Scenario, market: Market, delta: float, top_k: int | None
-) -> tuple[MatchingOutcome, BrokerPrefList]:
+def _run(s: Scenario, market: Market) -> tuple[MatchingOutcome, BrokerPrefList]:
     """run_matching on a compiled market; also returns the broker list."""
-    lists = {
-        b: build_buyer_list(s, b, delta=delta, top_k=top_k, market=market) for b in s.buyers
-    }
+    lists = {b: build_buyer_list(s, b, market=market) for b in s.buyers}
     broker = build_broker_list([lists[b] for b in s.buyers])
     assignment, trace = match(s, broker, market=market)
     if assignment is None:
@@ -280,55 +264,34 @@ def _classify(utility: float, truthful_utility: float, won: bool) -> str:
     return "no-gain"
 
 
-def verify_truthfulness_matching(
-    s: Scenario,
-    sid: SellerId,
-    bid_grid: tuple[float, ...] | None = None,
-    delta: float = DEFAULT_DELTA,
-    top_k: int | None = None,
-) -> dict:
-    """Sweep one seller's bid through the full matching pipeline.
+def verify_truthfulness_matching(s: Scenario, sid: SellerId) -> dict:
+    """Sweep one seller's bid over `default_bid_grid(q)` through the full
+    matching pipeline.
 
-    Each row records the misreport outcome and whether the perturbation left
-    the broker list's pair order unchanged (the regime where no misreport
-    should ever beat truth-telling).
+    The grid holds the true value q, and the q row is the truthful run: its
+    utility and broker list are what every row is compared with. Each row
+    records the misreport outcome and whether the perturbation left the
+    broker list's pair order unchanged (the regime where no misreport should
+    ever beat truth-telling).
     """
     from .optimal import default_bid_grid
 
     q = s.seller(sid).true_value
-    grid = bid_grid if bid_grid is not None else default_bid_grid(q)
-    if not any(b == q for b in grid):
-        raise ValueError("bid grid must contain the true value")
-
-    def shape(broker: BrokerPrefList) -> tuple:
-        return tuple((e.buyer, e.seller) for e in broker.entries)
-
     market = Market(s)
-    truthful, broker = _run(s, market, delta, top_k)
-    truthful_shape = shape(broker)
-    if truthful.success and sid in truthful.payments:
-        truthful_utility = truthful.payments[sid] - q
-    else:
-        truthful_utility = 0.0
-
-    rows = []
-    for bid in grid:
-        outcome, broker = _run(
-            s.with_seller_bid(sid, bid), market.with_bid(sid, bid), delta, top_k
-        )
+    rows, shapes = [], []
+    for bid in default_bid_grid(q):
+        outcome, broker = _run(s.with_seller_bid(sid, bid), market.with_bid(sid, bid))
         won = outcome.success and sid in outcome.payments
         payment = outcome.payments[sid] if won else None
         utility = (payment - q) if won else 0.0
-        rows.append(
-            {
-                "bid": bid,
-                "won": won,
-                "payment": payment,
-                "utility": utility,
-                "order_preserved": shape(broker) == truthful_shape,
-                "classification": _classify(utility, truthful_utility, won),
-            }
-        )
+        rows.append({"bid": bid, "won": won, "payment": payment, "utility": utility})
+        shapes.append(tuple((e.buyer, e.seller) for e in broker.entries))
+
+    truthful = next(i for i, r in enumerate(rows) if r["bid"] == q)
+    truthful_utility = rows[truthful]["utility"]
+    for row, shape in zip(rows, shapes):
+        row["order_preserved"] = shape == shapes[truthful]
+        row["classification"] = _classify(row["utility"], truthful_utility, row["won"])
 
     gains = [r for r in rows if r["classification"] == "gain"]
     return {

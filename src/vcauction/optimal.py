@@ -5,7 +5,8 @@ assignments: solve_naive literally enumerates every buyer permutation against
 every same-size seller subset (the reference oracle, factorial cost), while
 solve_optimal runs a depth-first search with an admissible upper bound and
 returns the identical optimum. Ties on objective value are broken toward the
-lexicographically smallest pair list, so both solvers agree exactly.
+lexicographically smallest pair list, so both solvers agree exactly. Both
+search complete assignments only (C3): there is no partial mode.
 
 Payments follow the pivot rule: a winner receives its bid plus the welfare it
 adds, F(K*) - F_without, where F_without re-solves the scenario with that
@@ -125,16 +126,10 @@ def solve_naive(
 def solve_optimal(
     s: Scenario,
     excluded: frozenset[SellerId] = frozenset(),
-    require_complete: bool = True,
     budget_secs: float | None = None,
     _deadline: float | None = None,
 ) -> SolveResult:
-    """Branch-and-bound equivalent of solve_naive.
-
-    With require_complete=False the search may leave buyers unmatched and
-    maximizes over partial assignments (the empty assignment is always
-    feasible, so the result is never infeasible in that mode).
-    """
+    """Branch-and-bound equivalent of solve_naive."""
     deadline = _deadline
     if budget_secs is not None:
         d = time.perf_counter() + budget_secs
@@ -147,7 +142,7 @@ def solve_optimal(
     uos, feasible, sp_of = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist()
     edges = m.edge_lists()
     feas_mask = [sum(1 << si for si in range(ns) if feasible[bi][si]) for bi in range(nb)]
-    if require_complete and any(mask == 0 for mask in feas_mask):
+    if any(mask == 0 for mask in feas_mask):
         return SolveResult(None, 0.0, 0)
 
     # Most constrained buyer first; candidates by descending value.
@@ -166,20 +161,19 @@ def solve_optimal(
     best_value = -math.inf
     best_pairs: tuple | None = None
 
-    if require_complete:
-        # Greedy completion in search order primes the bound.
-        seed = [-1] * nb
-        used = 0
-        for bi in order:
-            free = [si for si in candidates[bi] if not (used >> si) & 1]
-            pick = next((si for si in free if _edges_ok(edges, sp_of, seed, bi, si)), -1)
-            if pick < 0:
-                break
-            seed[bi] = pick
-            used |= 1 << pick
-        else:
-            best_pairs = _pair_list(m, seed)
-            best_value = sum(uos[bi][si] for bi, si in enumerate(seed))
+    # Greedy completion in search order primes the bound.
+    seed = [-1] * nb
+    used = 0
+    for bi in order:
+        free = [si for si in candidates[bi] if not (used >> si) & 1]
+        pick = next((si for si in free if _edges_ok(edges, sp_of, seed, bi, si)), -1)
+        if pick < 0:
+            break
+        seed[bi] = pick
+        used |= 1 << pick
+    else:
+        best_pairs = _pair_list(m, seed)
+        best_value = sum(uos[bi][si] for bi, si in enumerate(seed))
 
     assigned = [-1] * nb
     nodes = 0
@@ -209,11 +203,10 @@ def solve_optimal(
         if total + suffix_bound[pos] < best_value - TOLERANCE:
             return
         bi = order[pos]
-        if require_complete:
-            # Forward check: every unassigned buyer still needs a free seller.
-            for later in range(pos, nb):
-                if feas_mask[order[later]] & ~used == 0:
-                    return
+        # Forward check: every unassigned buyer still needs a free seller.
+        for later in range(pos, nb):
+            if feas_mask[order[later]] & ~used == 0:
+                return
         for si in candidates[bi]:
             if (used >> si) & 1:
                 continue
@@ -223,8 +216,6 @@ def solve_optimal(
             assigned[bi] = si
             dfs(pos + 1, used | (1 << si), total + uos[bi][si])
             assigned[bi] = -1
-        if not require_complete:
-            dfs(pos + 1, used, total)
 
     dfs(0, 0, 0.0)
 
@@ -277,28 +268,21 @@ def default_bid_grid(true_value: float) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-def verify_truthfulness_opt(
-    s: Scenario,
-    sid: SellerId,
-    bid_grid: tuple[float, ...] | None = None,
-) -> dict:
-    """Sweep one seller's reported bid and compare utilities against truth.
+def verify_truthfulness_opt(s: Scenario, sid: SellerId) -> dict:
+    """Sweep one seller's reported bid over `default_bid_grid(q)` and compare
+    utilities against the truthful q row.
 
     Utility is payment - true_value when the seller wins, else 0. The removal
     term F_without never involves the swept seller's bid, so it is computed
     once. The report flags any bid whose utility beats the truthful one.
     """
     q = s.seller(sid).true_value
-    grid = bid_grid if bid_grid is not None else default_bid_grid(q)
-    if not any(b == q for b in grid):
-        raise ValueError("bid grid must contain the true value")
-
     without = solve_optimal(s, excluded=frozenset({sid}))
     f_wo = without.objective_value if without.assignment is not None else 0.0
 
     rows = []
     truthful_utility = 0.0
-    for bid in grid:
+    for bid in default_bid_grid(q):
         res = solve_optimal(s.with_seller_bid(sid, bid))
         won = res.assignment is not None and sid in res.assignment.seller_to_buyer()
         if won:

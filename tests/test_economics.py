@@ -20,13 +20,11 @@ from vcauction import (
     assignment_feasible,
     edge_feasible,
     expand_vms,
-    extension_feasible,
     generate,
     gross_utility,
     objective,
     pair_feasible,
     preset,
-    true_valuation,
     uos,
     validate_scenario,
 )
@@ -54,17 +52,18 @@ def single_buyer_scenario(t=0.7, alpha=1.0, base=0.2, beta1=0.8, beta2=0.95):
 
 
 def test_true_valuation_linear():
-    assert true_valuation(0.8, ValuationConfig(0.8, 0.95)) == pytest.approx(0.31)
+    """A seller's true valuation is beta2 - beta1 * capability."""
+    assert ValuationConfig(0.8, 0.95).price_for(0.8) == pytest.approx(0.31)
     # degenerate flat valuation
-    assert true_valuation(5.0, ValuationConfig(1e-12, 0.9)) == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        true_valuation(2.0, ValuationConfig(0.5, 1.0))
+    assert ValuationConfig(1e-12, 0.9).price_for(5.0) == pytest.approx(0.9)
+    # the rule itself does not clamp; the generator's config check rejects this
+    assert ValuationConfig(0.5, 1.0).price_for(2.0) == 0.0
 
 
 def test_true_valuation_decreasing():
     cfg = ValuationConfig(0.8, 0.95)
     caps = np.linspace(0.1, 1.0, 10)
-    qs = [true_valuation(float(c), cfg) for c in caps]
+    qs = [cfg.price_for(float(c)) for c in caps]
     assert all(a > b for a, b in zip(qs, qs[1:]))
 
 
@@ -201,31 +200,6 @@ def test_assignment_feasible_checks_edges():
     )
     assert not assignment_feasible(tight, cross)
     assert assignment_feasible(tight, same)
-
-
-def test_extension_feasible_agrees_with_validator():
-    """Growing an assignment pair by pair through the incremental check
-    always yields a partial assignment the whole-assignment validator accepts."""
-    rng = np.random.default_rng(42)
-    for seed in range(25):
-        s = make_tiny(seed)
-        assigned = {}
-        for b in s.buyers:
-            options = [sel.id for sel in s.sellers if extension_feasible(s, assigned, b, sel.id)]
-            if not options:
-                continue
-            assigned[b] = options[int(rng.integers(len(options)))]
-            a = Assignment.from_pairs(list(assigned.items()))
-            assert assignment_feasible(s, a, require_complete=False)
-
-
-def test_extension_feasible_rejects_taken():
-    s = three_provider_scenario()
-    b0, b1 = BuyerId(0, 0), BuyerId(0, 1)
-    sid = SellerId(0, 1, 1)
-    assigned = {b0: sid}
-    assert not extension_feasible(s, assigned, b0, SellerId(2, 0, 1))
-    assert not extension_feasible(s, assigned, b1, sid)
 
 
 def _kernel_scenario(source: str, seed: int, reverse: bool):

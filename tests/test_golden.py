@@ -77,7 +77,6 @@ def _tiny(seed: int) -> dict:
     doc = {"maxuosg": _matching(s), "baselines": _baselines(s)}
     doc["naive"] = _solve(solve_naive(s))
     doc["optimal"] = _solve(solve_optimal(s))
-    doc["optimal_partial"] = _solve(solve_optimal(s, require_complete=False))
     opt = run_optimal_mechanism(s)
     doc["opt"] = None if opt is None else {
         "pairs": _pairs(opt.assignment),

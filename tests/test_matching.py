@@ -10,6 +10,8 @@ import pytest
 from vcauction import (
     Assignment,
     BuyerId,
+    BuyerPrefList,
+    PrefEntry,
     Scenario,
     SellerId,
     ServiceProvider,
@@ -27,6 +29,7 @@ from vcauction import (
     validate_scenario,
     verify_truthfulness_matching,
 )
+import vcauction.matching as matching_module
 
 from helpers import backtrack_scenario, make_tiny
 from test_optimal import one_sp_scenario
@@ -58,28 +61,6 @@ def test_buyer_list_invariants():
             else:
                 assert len(lst.entries) == 1
                 assert lst.entries[0].value == pytest.approx(-DELTA)
-
-
-def test_buyer_list_rejects_bad_delta():
-    s = make_tiny(0)
-    with pytest.raises(ValueError):
-        build_buyer_list(s, s.buyers[0], delta=0.0)
-    with pytest.raises(ValueError):
-        build_buyer_list(s, s.buyers[0], delta=-0.5)
-
-
-def test_top_k_truncates_best_prefix():
-    s = payment_example_scenario()
-    b = s.buyers[0]
-    full = build_buyer_list(s, b)
-    top1 = build_buyer_list(s, b, top_k=1)
-    assert len(full.real_entries()) == 2
-    assert len(top1.real_entries()) == 1
-    assert top1.real_entries() == full.real_entries()[:1]
-    assert top1.entries[-1].value == pytest.approx(top1.real_entries()[-1].value - DELTA)
-    empty = build_buyer_list(s, b, top_k=0)
-    assert len(empty.entries) == 1
-    assert empty.entries[0].is_virtual
 
 
 def test_broker_list_is_union_of_real_entries():
@@ -232,7 +213,8 @@ def test_payment_errors():
     a = Assignment.from_pairs([(b, SellerId(0, 0, 1))])
     with pytest.raises(ValueError):
         matching_payment(s, lists, a, SellerId(0, 0, 2))
-    truncated = {b: build_buyer_list(s, b, top_k=1)}
+    best = lists[b].entries[0]
+    truncated = {b: BuyerPrefList(b, (best, PrefEntry(b, None, best.value - DELTA)))}
     off_list = Assignment.from_pairs([(b, SellerId(0, 0, 2))])
     with pytest.raises(ValueError):
         matching_payment(s, truncated, off_list, SellerId(0, 0, 2))
@@ -303,7 +285,35 @@ def test_sweep_gains_need_reordering_or_virtual_pricing():
     assert checked_rows >= 200
 
 
-def test_sweep_requires_truthful_point():
-    s = payment_example_scenario()
-    with pytest.raises(ValueError):
-        verify_truthfulness_matching(s, SellerId(0, 0, 1), bid_grid=(0.9, 1.1))
+def _small_sweep_seller():
+    """`small` seed 0 and its lowest winning seller."""
+    s = generate(preset("small"), seed=0)
+    return s, min(run_matching(s).payments)
+
+
+def test_sweep_runs_the_matching_once_per_grid_point(monkeypatch):
+    """The truthful run is the grid row at the true value, not an extra run."""
+    s, sid = _small_sweep_seller()
+    calls = []
+
+    def counting_match(*args, **kwargs):
+        calls.append(1)
+        return match(*args, **kwargs)
+
+    monkeypatch.setattr(matching_module, "match", counting_match)
+    report = verify_truthfulness_matching(s, sid)
+    assert len(calls) == len(report["rows"]) == 22
+
+
+def test_sweep_reads_truthful_play_from_its_own_row():
+    """The seller's current report does not move the sweep: every row sets
+    the bid itself, and truthful play is the row at the true value."""
+    s, sid = _small_sweep_seller()
+    q = s.seller(sid).true_value
+    report = verify_truthfulness_matching(s.with_seller_bid(sid, 10 * q), sid)
+    q_row = next(r for r in report["rows"] if r["bid"] == q)
+    assert q_row["won"]
+    assert report["truthful_utility"] == q_row["utility"] > 0
+    assert q_row["order_preserved"] is True
+    assert q_row["classification"] == "equal"
+    assert report == verify_truthfulness_matching(s, sid)

@@ -131,6 +131,25 @@ def test_solvers_match_brute_force_on_random_tinies():
             assert res_o.assignment == res_n.assignment
 
 
+def test_pivot_resolves_match_enumeration():
+    """Each payment re-solve, the optimum with one winner removed, equals the
+    enumeration oracle's, pairs and objective bits alike."""
+    checked = 0
+    for seed in range(200):
+        s = make_tiny(seed)
+        out = run_optimal_mechanism(s)
+        if out is None:
+            continue
+        for winner in out.payments:
+            excluded = frozenset({winner})
+            res_o = solve_optimal(s, excluded=excluded)
+            res_n = solve_naive(s, excluded=excluded)
+            assert res_o.assignment == res_n.assignment, (seed, winner)
+            assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
+            checked += 1
+    assert checked == 110
+
+
 def test_single_provider_matches_hungarian_oracle():
     checked = 0
     for seed in range(200):
@@ -249,12 +268,6 @@ def test_default_bid_grid_shape():
     assert grid[-1] == pytest.approx(1.2)
     assert any(b == 0.8 for b in grid)
     assert list(grid) == sorted(grid)
-
-
-def test_truthfulness_sweep_requires_truthful_point():
-    s = one_sp_scenario(times=(0.7,), alpha=3.0, bases=(0.25,))
-    with pytest.raises(ValueError):
-        verify_truthfulness_opt(s, SellerId(0, 0, 1), bid_grid=(0.1, 0.2))
 
 
 def test_truthful_bid_dominates_on_worked_example():
