@@ -119,10 +119,22 @@ def _pivot(seed: int, label: str) -> dict:
     return _solve(solve_optimal(s, excluded=frozenset({sid})))
 
 
+def _opt_small(seed: int) -> dict:
+    """The whole exact auction on a `small` scenario. Node counts are left
+    out: the root and pivot searches are pinned by `optimal` and `pivot`."""
+    out = run_optimal_mechanism(generate(preset("small"), seed=seed))
+    return {
+        "pairs": _pairs(out.assignment),
+        "objective": repr(out.objective_value),
+        "payments": _payments(out.payments),
+    }
+
+
 def compute() -> dict:
     return {
         "tiny": {str(seed): _tiny(seed) for seed in range(24)},
         "small": {str(seed): _preset("small", seed) for seed in range(10)},
+        "opt_small": {str(seed): _opt_small(seed) for seed in range(3)},
         "large": {str(seed): _preset("large", seed) for seed in range(10)},
         "sweep": _sweep(),
         "pivot": {f"{seed}/{label}": _pivot(seed, label) for seed, label in PIVOTS},
