@@ -169,7 +169,76 @@ class Market:
         m.feasible[:, k] = self._admissible[:, k] & (m.uos[:, k] > TOLERANCE)
         return m
 
+    def without(self, sid: SellerId) -> "Market":
+        """A copy with one seller's column dropped, equal to compiling the
+        scenario with that seller excluded; rows and C2 are shared."""
+        k = self.seller_index[sid]
+        m = copy.copy(self)
+        m.sellers = self.sellers[:k] + self.sellers[k + 1 :]
+        m.seller_index = {s: i for i, s in enumerate(m.sellers)}
+        m.sp_of, m.cap, m.bid = (np.delete(a, k) for a in (self.sp_of, self.cap, self.bid))
+        m._admissible, m.uos, m.feasible = (
+            np.delete(a, k, axis=1) for a in (self._admissible, self.uos, self.feasible)
+        )
+        return m
+
     def edge_lists(self) -> list[list[tuple[int, list[list[bool]]]]]:
         """`edges` with Python-list tables, for per-node loops where indexing
         numpy scalars would be slower."""
         return [[(j, allowed.tolist()) for j, allowed in nbrs] for nbrs in self.edges]
+
+
+def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:
+    """Largest total weight of a matching that gives every row its own column.
+
+    `rows[r]` lists row r's allowed cells as `(column, weight)`; any other
+    cell is forbidden. Returns -inf when no matching covers every row.
+
+    Shortest augmenting paths (Kuhn 1955; Jonker & Volgenant 1987): each row
+    is inserted by a Dijkstra search over reduced costs, cost being -weight,
+    and the row and column potentials keep every reduced cost non-negative.
+    """
+    row_pot = [0.0] * len(rows)
+    col_pot = [0.0] * n_cols
+    row_of = [-1] * n_cols
+    col_of = [-1] * len(rows)
+    for start, cells in enumerate(rows):
+        if not cells:
+            return -math.inf
+        row_pot[start] = max(col_pot[j] + w for j, w in cells)
+        dist = [math.inf] * n_cols
+        pred = [-1] * n_cols
+        done = [False] * n_cols
+        scanned: list[int] = []
+        r, d_r, free = start, 0.0, -1
+        while True:
+            base = d_r + row_pot[r]
+            for j, w in cells:
+                nd = base - w - col_pot[j]
+                # A scanned column is final; rounding must not re-route it.
+                if nd < dist[j] and not done[j]:
+                    dist[j], pred[j] = nd, r
+            j, d_j = -1, math.inf
+            for k in range(n_cols):
+                if not done[k] and dist[k] < d_j:
+                    j, d_j = k, dist[k]
+            if j < 0:
+                return -math.inf
+            if row_of[j] < 0:
+                free = j
+                break
+            done[j] = True
+            scanned.append(j)
+            r, d_r = row_of[j], d_j
+            cells = rows[r]
+        # Shift potentials so the path found is tight, then flip it.
+        d_free = dist[free]
+        row_pot[start] -= d_free
+        for j in scanned:
+            col_pot[j] -= d_free - dist[j]
+            row_pot[row_of[j]] -= d_free - dist[j]
+        j = free
+        while j >= 0:
+            r = pred[j]
+            row_of[j], col_of[r], j = r, j, col_of[r]
+    return sum(w for r, cells in enumerate(rows) for j, w in cells if j == col_of[r])

@@ -96,6 +96,7 @@ def run_mechanism(
             assignment = outcome.assignment
             payments = outcome.payments
             detail["explored_nodes"] = outcome.explored_nodes
+            detail["pivot_nodes"] = outcome.pivot_nodes
     elif name == "maxuosg":
         outcome = run_matching(s)
         detail["trace_events"] = len(outcome.match_trace)

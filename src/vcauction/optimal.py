@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, Scenario, SellerId
-from .economics import Market, objective
+from .economics import Market, _max_assignment, objective
 
 __all__ = [
     "BudgetExceeded",
@@ -37,6 +37,10 @@ __all__ = [
     "default_bid_grid",
     "verify_truthfulness_opt",
 ]
+
+
+# The assignment bound is worth its cost only near the root of the search.
+ASSIGNMENT_BOUND_DEPTH = 2
 
 
 class BudgetExceeded(RuntimeError):
@@ -55,7 +59,9 @@ class OptOutcome:
     assignment: Assignment
     objective_value: float
     payments: dict[SellerId, float]
+    # Nodes of the root search, and of all pivot re-solves together.
     explored_nodes: int
+    pivot_nodes: int
 
 
 def _pair_list(m: Market, assigned: list[int]) -> tuple:
@@ -127,67 +133,88 @@ def solve_optimal(
     s: Scenario,
     excluded: frozenset[SellerId] = frozenset(),
     budget_secs: float | None = None,
+    *,
+    market: Market | None = None,
+    incumbent: Assignment | None = None,
     _deadline: float | None = None,
 ) -> SolveResult:
-    """Branch-and-bound equivalent of solve_naive."""
+    """Branch-and-bound equivalent of solve_naive.
+
+    `market` is `Market(s, excluded)` when the caller already has it, or a
+    `without`/`with_bid` variant of it; the search then reads the market
+    alone. `incumbent` is a known assignment to start from: its pairs on
+    sellers outside the market are re-placed greedily, and it primes the
+    bound only if that leaves it complete and feasible.
+    """
     deadline = _deadline
     if budget_secs is not None:
         d = time.perf_counter() + budget_secs
         deadline = d if deadline is None else min(deadline, d)
 
-    m = Market(s, excluded)
+    m = market if market is not None else Market(s, excluded)
     nb, ns = len(m.buyers), len(m.sellers)
     if nb == 0:
         return SolveResult(Assignment(()), 0.0, 0)
     uos, feasible, sp_of = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist()
     edges = m.edge_lists()
-    feas_mask = [sum(1 << si for si in range(ns) if feasible[bi][si]) for bi in range(nb)]
-    if any(mask == 0 for mask in feas_mask):
-        return SolveResult(None, 0.0, 0)
-
-    # Most constrained buyer first; candidates by descending value.
-    order = sorted(range(nb), key=lambda bi: (bin(feas_mask[bi]).count("1"), bi))
+    # Candidates by descending value; most constrained buyer first.
     candidates = [
         sorted((si for si in range(ns) if feasible[bi][si]), key=lambda si: (-uos[bi][si], si))
         for bi in range(nb)
     ]
-    suffix_bound = [0.0] * (nb + 1)
-    for pos in range(nb - 1, -1, -1):
-        bi = order[pos]
-        suffix_bound[pos] = suffix_bound[pos + 1] + max(
-            (uos[bi][si] for si in candidates[bi]), default=0.0
-        )
+    if not all(candidates):
+        return SolveResult(None, 0.0, 0)
+    order = sorted(range(nb), key=lambda bi: (len(candidates[bi]), bi))
 
     best_value = -math.inf
     best_pairs: tuple | None = None
 
-    # Greedy completion in search order primes the bound.
-    seed = [-1] * nb
-    used = 0
-    for bi in order:
-        free = [si for si in candidates[bi] if not (used >> si) & 1]
-        pick = next((si for si in free if _edges_ok(edges, sp_of, seed, bi, si)), -1)
-        if pick < 0:
-            break
-        seed[bi] = pick
-        used |= 1 << pick
-    else:
-        best_pairs = _pair_list(m, seed)
-        best_value = sum(uos[bi][si] for bi, si in enumerate(seed))
+    def consider(assigned: list[int], total: float) -> None:
+        nonlocal best_value, best_pairs
+        if total < best_value - TOLERANCE:
+            return
+        pairs = _pair_list(m, assigned)
+        if total > best_value + TOLERANCE:
+            best_value, best_pairs = total, pairs
+        elif best_pairs is None or pairs < best_pairs:
+            best_value, best_pairs = max(best_value, total), pairs
+
+    def complete(start: list[int]) -> None:
+        """Fill the buyers `start` leaves open with their first free seller
+        that keeps C2, in search order, and consider the result."""
+        seed = [-1] * nb
+        used = 0
+        for bi in order:
+            si = start[bi]
+            if si >= 0:
+                free = feasible[bi][si] and not (used >> si) & 1
+                if not free or not _edges_ok(edges, sp_of, seed, bi, si):
+                    return
+                seed[bi] = si
+                used |= 1 << si
+        for bi in order:
+            if seed[bi] < 0:
+                pick = next(
+                    (si for si in candidates[bi]
+                     if not (used >> si) & 1 and _edges_ok(edges, sp_of, seed, bi, si)),
+                    -1,
+                )
+                if pick < 0:
+                    return
+                seed[bi] = pick
+                used |= 1 << pick
+        consider(seed, sum(uos[bi][si] for bi, si in enumerate(seed)))
+
+    complete([-1] * nb)
+    if incumbent is not None:
+        start = [-1] * nb
+        for b, sid in incumbent.pairs:
+            start[m.buyer_index[b]] = m.seller_index.get(sid, -1)
+        complete(start)
 
     assigned = [-1] * nb
     nodes = 0
     tick = 0
-
-    def consider(total: float) -> None:
-        nonlocal best_value, best_pairs
-        pairs = _pair_list(m, assigned)
-        if total > best_value + TOLERANCE:
-            best_value, best_pairs = total, pairs
-        elif total >= best_value - TOLERANCE and (
-            best_pairs is None or pairs < best_pairs
-        ):
-            best_value, best_pairs = max(best_value, total), pairs
 
     def dfs(pos: int, used: int, total: float) -> None:
         nonlocal nodes, tick
@@ -198,15 +225,27 @@ def solve_optimal(
                 if time.perf_counter() > deadline:
                     raise BudgetExceeded("optimal solve exceeded its budget")
         if pos == nb:
-            consider(total)
+            consider(assigned, total)
             return
-        if total + suffix_bound[pos] < best_value - TOLERANCE:
-            return
-        bi = order[pos]
-        # Forward check: every unassigned buyer still needs a free seller.
-        for later in range(pos, nb):
-            if feas_mask[order[later]] & ~used == 0:
+        # Free-seller bound: each open buyer takes its best free seller.
+        bound = total
+        for later in order[pos:]:
+            for si in candidates[later]:
+                if not (used >> si) & 1:
+                    bound += uos[later][si]
+                    break
+            else:
                 return
+        if bound < best_value - TOLERANCE:
+            return
+        if pos <= ASSIGNMENT_BOUND_DEPTH:
+            rows = [
+                [(si, uos[later][si]) for si in candidates[later] if not (used >> si) & 1]
+                for later in order[pos:]
+            ]
+            if total + _max_assignment(rows, ns) < best_value - TOLERANCE:
+                return
+        bi = order[pos]
         for si in candidates[bi]:
             if (used >> si) & 1:
                 continue
@@ -221,8 +260,25 @@ def solve_optimal(
 
     if best_pairs is None:
         return SolveResult(None, 0.0, nodes)
-    assignment = Assignment(best_pairs)
-    return SolveResult(assignment, objective(s, assignment), nodes)
+    # objective(s, ...) from the market's values, which may carry a bid
+    # that `s` does not: the same pairs, order and float operations.
+    value = 0.0
+    for b, sid in best_pairs:
+        value += uos[m.buyer_index[b]][m.seller_index[sid]]
+    return SolveResult(Assignment(best_pairs), value, nodes)
+
+
+def _pivot(
+    s: Scenario, m: Market, k_star: Assignment, f_star: float, sid: SellerId, deadline: float | None
+) -> tuple[float, int]:
+    """Pivot payment for winner `sid` of K* on the compiled market `m`, and
+    the nodes its re-solve explored. The re-solve starts from K* with the
+    winner's buyer moved to its best free seller."""
+    without = solve_optimal(
+        s, excluded=frozenset({sid}), market=m.without(sid), incumbent=k_star, _deadline=deadline
+    )
+    f_wo = without.objective_value if without.assignment is not None else 0.0
+    return f_star - f_wo + s.seller(sid).bid, without.explored
 
 
 def vcg_payment(
@@ -239,26 +295,27 @@ def vcg_payment(
     """
     if sid not in k_star.seller_to_buyer():
         raise ValueError(f"{sid.label()} is not a winner")
-    without = solve_optimal(s, excluded=frozenset({sid}), _deadline=_deadline)
-    f_wo = without.objective_value if without.assignment is not None else 0.0
-    return f_star - f_wo + s.seller(sid).bid
+    return _pivot(s, Market(s), k_star, f_star, sid, _deadline)[0]
 
 
 def run_optimal_mechanism(s: Scenario, budget_secs: float | None = None) -> OptOutcome | None:
     """Winner determination plus a pivot payment per winner.
 
     Returns None when no complete feasible assignment exists. The budget, if
-    given, covers the main solve and all payment re-solves together.
+    given, covers the main solve and all payment re-solves together. The
+    scenario is compiled once; each re-solve drops one column of it.
     """
     deadline = time.perf_counter() + budget_secs if budget_secs is not None else None
-    res = solve_optimal(s, _deadline=deadline)
+    m = Market(s)
+    res = solve_optimal(s, market=m, _deadline=deadline)
     if res.assignment is None:
         return None
-    explored = res.explored
     payments: dict[SellerId, float] = {}
+    pivot_nodes = 0
     for sid in res.assignment.seller_to_buyer():
-        payments[sid] = vcg_payment(s, res.assignment, res.objective_value, sid, _deadline=deadline)
-    return OptOutcome(res.assignment, res.objective_value, payments, explored)
+        payments[sid], nodes = _pivot(s, m, res.assignment, res.objective_value, sid, deadline)
+        pivot_nodes += nodes
+    return OptOutcome(res.assignment, res.objective_value, payments, res.explored, pivot_nodes)
 
 
 def default_bid_grid(true_value: float) -> tuple[float, ...]:
@@ -274,16 +331,18 @@ def verify_truthfulness_opt(s: Scenario, sid: SellerId) -> dict:
 
     Utility is payment - true_value when the seller wins, else 0. The removal
     term F_without never involves the swept seller's bid, so it is computed
-    once. The report flags any bid whose utility beats the truthful one.
+    once. The scenario is compiled once; each grid point re-prices one column.
+    The report flags any bid whose utility beats the truthful one.
     """
     q = s.seller(sid).true_value
-    without = solve_optimal(s, excluded=frozenset({sid}))
+    m = Market(s)
+    without = solve_optimal(s, excluded=frozenset({sid}), market=m.without(sid))
     f_wo = without.objective_value if without.assignment is not None else 0.0
 
     rows = []
     truthful_utility = 0.0
     for bid in default_bid_grid(q):
-        res = solve_optimal(s.with_seller_bid(sid, bid))
+        res = solve_optimal(s, market=m.with_bid(sid, bid))
         won = res.assignment is not None and sid in res.assignment.seller_to_buyer()
         if won:
             payment = res.objective_value - f_wo + bid

@@ -2,9 +2,12 @@
 import dataclasses
 import itertools
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from vcauction import (
     Assignment,
@@ -28,6 +31,8 @@ from vcauction import (
     uos,
     validate_scenario,
 )
+
+from vcauction.economics import _max_assignment
 
 from helpers import make_tiny, three_provider_scenario
 
@@ -253,5 +258,44 @@ def test_market_kernel_equals_scalar_rules(source, seed, reverse, data):
     assert np.array_equal(rebid.feasible, fresh.feasible)
     assert np.array_equal(rebid.bid, fresh.bid)
     assert all(a is b for (_, a), (_, b) in zip(sum(rebid.edges, []), sum(m.edges, [])))
+    dropped = m.without(sid)
+    _assert_kernel_matches_spec(s, excluded | {sid}, dropped)
+    fresh = Market(s, excluded | {sid})
+    for name in ("uos", "feasible", "sp_of", "cap", "bid", "_admissible"):
+        assert np.array_equal(getattr(dropped, name), getattr(fresh, name)), name
+    assert dropped.seller_index == fresh.seller_index
     # The source kernel is left as it was.
     _assert_kernel_matches_spec(s, excluded, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_max_assignment_equals_scipy(data):
+    """The augmenting-path routine finds scipy's optimum on rectangular
+    matrices with forbidden cells, and -inf exactly when scipy finds that no
+    assignment of every row exists."""
+    n_rows = data.draw(st.integers(0, 6))
+    n_cols = data.draw(st.integers(n_rows, 8))
+    weight = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
+    allowed = st.lists(st.booleans(), min_size=n_cols, max_size=n_cols)
+    w = [data.draw(st.lists(weight, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    ok = [data.draw(allowed) for _ in range(n_rows)]
+    rows = [[(j, w[r][j]) for j in range(n_cols) if ok[r][j]] for r in range(n_rows)]
+    got = _max_assignment(rows, n_cols)
+    cost = np.array(
+        [[-w[r][j] if ok[r][j] else np.inf for j in range(n_cols)] for r in range(n_rows)]
+    ).reshape(n_rows, n_cols)
+    try:
+        r_idx, c_idx = linear_sum_assignment(cost)
+    except ValueError:
+        assert got == -math.inf
+        return
+    assert got == pytest.approx(-cost[r_idx, c_idx].sum(), abs=1e-9)
+
+
+def test_max_assignment_without_complete_matching():
+    # Hall's condition fails: two rows share their only allowed column.
+    assert _max_assignment([[(0, 1.0)], [(0, 2.0)], [(1, 5.0), (2, 1.0)]], 3) == -math.inf
+    assert _max_assignment([[]], 2) == -math.inf
+    assert _max_assignment([[(0, 1.0)], [(1, 1.0)]], 2) == 2.0
+    assert _max_assignment([], 0) == 0.0

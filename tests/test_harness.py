@@ -15,9 +15,11 @@ from vcauction import (
     ir_violations,
     preset,
     run_mechanism,
+    run_optimal_mechanism,
     run_to_doc,
     scenario_digest,
     serialize_buyer_lists,
+    solve_optimal,
     verify_report,
 )
 import vcauction.harness as harness
@@ -56,6 +58,15 @@ def test_run_mechanism_marks_budget_truncation():
     assert run.truncated
     assert not run.success
     assert run.assignment is None
+
+
+def test_opt_run_reports_root_and_pivot_nodes():
+    s = generate(preset("small"), seed=0)
+    out = run_optimal_mechanism(s)
+    run = run_mechanism(s, "opt")
+    assert run.detail["explored_nodes"] == out.explored_nodes == solve_optimal(s).explored
+    assert run.detail["pivot_nodes"] == out.pivot_nodes > 0
+    assert run_to_doc(s, run)["pivot_nodes"] == out.pivot_nodes
 
 
 def test_run_to_doc_roundtrips_through_json():

@@ -12,6 +12,7 @@ from vcauction import (
     BuyerId,
     GraphJob,
     JobEdge,
+    Market,
     Scenario,
     SellerId,
     ServiceProvider,
@@ -148,6 +149,41 @@ def test_pivot_resolves_match_enumeration():
             assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
             checked += 1
     assert checked == 110
+
+
+def test_seeded_pivot_resolves_match_enumeration():
+    """A re-solve on the winner's column dropped from the root market, started
+    from K*, equals the enumeration oracle; so do the payments built on it."""
+    checked = 0
+    for seed in range(200):
+        s = make_tiny(seed)
+        out = run_optimal_mechanism(s)
+        if out is None:
+            continue
+        m = Market(s)
+        for winner, payment in out.payments.items():
+            excluded = frozenset({winner})
+            res_o = solve_optimal(
+                s, excluded=excluded, market=m.without(winner), incumbent=out.assignment
+            )
+            res_n = solve_naive(s, excluded=excluded)
+            assert res_o.assignment == res_n.assignment, (seed, winner)
+            assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
+            f_wo = res_n.objective_value if res_n.assignment is not None else 0.0
+            assert payment == out.objective_value - f_wo + s.seller(winner).bid
+            checked += 1
+    assert checked == 110
+
+
+def test_infeasible_incumbent_is_ignored():
+    s = generate(preset("small"), seed=0)
+    res = solve_optimal(s)
+    pairs = res.assignment.pairs
+    # Two buyers on one seller breaks C4; the search must not start from it.
+    bogus = Assignment(((pairs[0][0], pairs[1][1]),) + pairs[1:])
+    seeded = solve_optimal(s, incumbent=bogus)
+    assert seeded.assignment == res.assignment
+    assert repr(seeded.objective_value) == repr(res.objective_value)
 
 
 def test_single_provider_matches_hungarian_oracle():
