@@ -12,7 +12,8 @@ Payments follow the pivot rule: a winner receives its bid plus the welfare it
 adds, F(K*) - F_without, where F_without re-solves the scenario with that
 seller removed. When removal leaves no complete assignment at all, F_without
 is 0 (the market cannot run), which keeps F(K*) >= F_without and therefore
-non-negative winner utility under truthful bids.
+non-negative winner utility under truthful bids. Each re-solve reads the root
+solve's compiled market with the winner's column dropped, and starts from K*.
 """
 from __future__ import annotations
 
@@ -176,7 +177,7 @@ def solve_optimal(
         pairs = _pair_list(m, assigned)
         if total > best_value + TOLERANCE:
             best_value, best_pairs = total, pairs
-        elif best_pairs is None or pairs < best_pairs:
+        elif pairs < best_pairs:
             best_value, best_pairs = max(best_value, total), pairs
 
     def complete(start: list[int]) -> None:

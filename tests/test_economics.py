@@ -269,17 +269,22 @@ def test_market_kernel_equals_scalar_rules(source, seed, reverse, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_max_assignment_equals_scipy(data):
+@given(
+    n_rows=st.integers(0, 6),
+    extra_cols=st.integers(0, 3),
+    density=st.floats(0.2, 1.0),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_max_assignment_equals_scipy(n_rows, extra_cols, density, rnd):
     """The augmenting-path routine finds scipy's optimum on rectangular
     matrices with forbidden cells, and -inf exactly when scipy finds that no
-    assignment of every row exists."""
-    n_rows = data.draw(st.integers(0, 6))
-    n_cols = data.draw(st.integers(n_rows, 8))
-    weight = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
-    allowed = st.lists(st.booleans(), min_size=n_cols, max_size=n_cols)
-    w = [data.draw(st.lists(weight, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
-    ok = [data.draw(allowed) for _ in range(n_rows)]
+    assignment of every row exists. Integer weights make ties common."""
+    n_cols = n_rows + extra_cols
+    w = [
+        [rnd.choice((float(rnd.randint(-3, 3)), rnd.uniform(-10.0, 10.0))) for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+    ok = [[rnd.random() < density for _ in range(n_cols)] for _ in range(n_rows)]
     rows = [[(j, w[r][j]) for j in range(n_cols) if ok[r][j]] for r in range(n_rows)]
     got = _max_assignment(rows, n_cols)
     cost = np.array(

@@ -7,6 +7,7 @@ from vcauction import (
     Assignment,
     BuyerId,
     GenConfig,
+    Market,
     SellerId,
     bench_sweep,
     experiment,
@@ -66,6 +67,12 @@ def test_opt_run_reports_root_and_pivot_nodes():
     run = run_mechanism(s, "opt")
     assert run.detail["explored_nodes"] == out.explored_nodes == solve_optimal(s).explored
     assert run.detail["pivot_nodes"] == out.pivot_nodes > 0
+    m = Market(s)
+    resolves = [
+        solve_optimal(s, excluded=frozenset({w}), market=m.without(w), incumbent=out.assignment)
+        for w in out.payments
+    ]
+    assert out.pivot_nodes == sum(res.explored for res in resolves)
     assert run_to_doc(s, run)["pivot_nodes"] == out.pivot_nodes
 
 

@@ -18,9 +18,11 @@ from vcauction import (
     ServiceProvider,
     ValuationConfig,
     VirtualMachine,
+    assignment_feasible,
     default_bid_grid,
     expand_vms,
     generate,
+    objective,
     pair_feasible,
     preset,
     run_optimal_mechanism,
@@ -176,14 +178,32 @@ def test_seeded_pivot_resolves_match_enumeration():
 
 
 def test_infeasible_incumbent_is_ignored():
-    s = generate(preset("small"), seed=0)
+    """Incumbents worth more than the optimum, one breaking C4 and one C2,
+    must not prime the bound."""
+    s = make_tiny(0)
     res = solve_optimal(s)
-    pairs = res.assignment.pairs
-    # Two buyers on one seller breaks C4; the search must not start from it.
-    bogus = Assignment(((pairs[0][0], pairs[1][1]),) + pairs[1:])
-    seeded = solve_optimal(s, incumbent=bogus)
-    assert seeded.assignment == res.assignment
-    assert repr(seeded.objective_value) == repr(res.objective_value)
+    m = Market(s)
+    # Every buyer on its own best seller, shared or not.
+    shared = Assignment.from_pairs(
+        [(b, m.sellers[int(np.argmax(m.uos[i]))]) for i, b in enumerate(m.buyers)]
+    )
+    # The best assignment under C1 and C4 alone.
+    c1_best = max(
+        (
+            Assignment.from_pairs([(m.buyers[i], m.sellers[k]) for i, k in enumerate(cols)])
+            for cols in itertools.permutations(range(len(m.sellers)), len(m.buyers))
+            if all(m.feasible[i, k] for i, k in enumerate(cols))
+        ),
+        key=lambda a: objective(s, a),
+    )
+    assert not shared.is_one_to_one()
+    assert c1_best.is_one_to_one()
+    for bogus in (shared, c1_best):
+        assert not assignment_feasible(s, bogus, require_complete=True)
+        assert objective(s, bogus) > res.objective_value + 1e-6
+        seeded = solve_optimal(s, incumbent=bogus)
+        assert seeded.assignment == res.assignment
+        assert repr(seeded.objective_value) == repr(res.objective_value)
 
 
 def test_single_provider_matches_hungarian_oracle():
