@@ -210,7 +210,7 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:
         pred = [-1] * n_cols
         done = [False] * n_cols
         scanned: list[int] = []
-        r, d_r, free = start, 0.0, -1
+        r, d_r = start, 0.0
         while True:
             base = d_r + row_pot[r]
             for j, w in cells:
