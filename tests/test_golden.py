@@ -9,6 +9,7 @@ here as a mismatch. Regenerate the file only on purpose:
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -24,6 +25,7 @@ from vcauction import (
     run_optimal_mechanism,
     solve_naive,
     solve_optimal,
+    verify_report,
     verify_truthfulness_matching,
 )
 
@@ -44,9 +46,12 @@ def _payments(payments: dict) -> dict:
     return {_sid(k): repr(v) for k, v in sorted(payments.items())}
 
 
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def _trace_digest(trace) -> str:
-    doc = json.dumps([list(ev) for ev in trace])
-    return hashlib.sha256(doc.encode()).hexdigest()[:16]
+    return _digest([list(ev) for ev in trace])
 
 
 def _matching(s) -> dict:
@@ -119,15 +124,29 @@ def _pivot(seed: int, label: str) -> dict:
     return _solve(solve_optimal(s, excluded=frozenset({sid})))
 
 
-def _opt_small(seed: int) -> dict:
-    """The whole exact auction on a `small` scenario. Node counts are left
-    out: the root and pivot searches are pinned by `optimal` and `pivot`."""
-    out = run_optimal_mechanism(generate(preset("small"), seed=seed))
-    return {
+def _opt_run(s) -> dict | None:
+    """The whole exact auction. Node counts are left out: the root and pivot
+    searches are pinned by `optimal` and `pivot`."""
+    out = run_optimal_mechanism(s)
+    return None if out is None else {
         "pairs": _pairs(out.assignment),
         "objective": repr(out.objective_value),
         "payments": _payments(out.payments),
     }
+
+
+def _opt_small(seed: int) -> dict:
+    return _opt_run(generate(preset("small"), seed=seed))
+
+
+# Contact rates at which C2 binds on every `small` seed 0-9: the scan rejects
+# 1 to 20,235 entries per seed, where the presets never reject one.
+C2_BINDING = {"lambda_range": (0.2, 0.3)}
+
+
+def _c2(seed: int) -> dict:
+    s = generate(dataclasses.replace(preset("small"), **C2_BINDING), seed=seed)
+    return {"maxuosg": _matching(s), "baselines": _baselines(s), "opt": _opt_run(s)}
 
 
 def compute() -> dict:
@@ -135,6 +154,7 @@ def compute() -> dict:
         "tiny": {str(seed): _tiny(seed) for seed in range(24)},
         "small": {str(seed): _preset("small", seed) for seed in range(10)},
         "opt_small": {str(seed): _opt_small(seed) for seed in range(3)},
+        "c2": {str(seed): _c2(seed) for seed in range(10)},
         "large": {str(seed): _preset("large", seed) for seed in range(10)},
         "sweep": _sweep(),
         "pivot": {f"{seed}/{label}": _pivot(seed, label) for seed, label in PIVOTS},
