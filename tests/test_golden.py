@@ -1,7 +1,8 @@
 """Byte-exact regression outputs for every mechanism on fixed seeds.
 
 `golden.json` holds assignments, payments, objectives (as `repr`), a digest
-of each matching scan trace and the search node counts. Any change to a
+of each matching scan trace, the search node counts, and a digest of the
+lists and sweeps that `verify_report` serialises. Any change to a
 mechanism's arithmetic, tie-breaking, scan order or search order shows up
 here as a mismatch. Regenerate the file only on purpose:
 
@@ -149,6 +150,15 @@ def _c2(seed: int) -> dict:
     return {"maxuosg": _matching(s), "baselines": _baselines(s), "opt": _opt_run(s)}
 
 
+# The serialised lists and sweeps of `verify_report`, byte for byte.
+VERIFY_KEYS = ("buyer_lists", "broker_list", "pairs", "winners", "sweeps")
+
+
+def _verify(seed: int) -> str:
+    report, rows = verify_report(generate(preset("small"), seed=seed), "maxuosg")
+    return _digest({"report": {k: report[k] for k in VERIFY_KEYS}, "rows": rows})
+
+
 def compute() -> dict:
     return {
         "tiny": {str(seed): _tiny(seed) for seed in range(24)},
@@ -157,6 +167,7 @@ def compute() -> dict:
         "c2": {str(seed): _c2(seed) for seed in range(10)},
         "large": {str(seed): _preset("large", seed) for seed in range(10)},
         "sweep": _sweep(),
+        "verify": {str(seed): _verify(seed) for seed in range(2)},
         "pivot": {f"{seed}/{label}": _pivot(seed, label) for seed, label in PIVOTS},
     }
 
