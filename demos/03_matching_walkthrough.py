@@ -5,6 +5,7 @@ Run: python3 demos/03_matching_walkthrough.py
 from collections import Counter
 
 from vcauction import (
+    Market,
     build_broker_list,
     build_buyer_list,
     generate,
@@ -26,9 +27,10 @@ for lst in lists[:3]:
     print(f"  {lst.buyer.label()}: {len(lst.real_entries())} sellers "
           f"[{head}, ...], virtual floor {lst.entries[-1].value:.3f}")
 
-broker = build_broker_list(lists)
-print(f"broker list: {len(broker.entries)} entries, "
-      f"top value {broker.entries[0].value:.3f}")
+# The broker merges every real entry into one list, read by market index.
+broker = build_broker_list(Market(s))
+print(f"broker list: {len(broker.value)} entries, "
+      f"top value {broker.value[0]:.3f}")
 
 outcome = run_matching(s)
 events = Counter(ev[0] for ev in outcome.match_trace)

@@ -105,8 +105,9 @@ class Market:
     whatever the order of `s.sellers`. Excluded sellers are dropped, not
     masked, so every column is a seller the mechanisms may use.
 
-    - `uos[i, k]` repeats the float operations of `uos`, so values are equal
-      to the scalar ones bit for bit.
+    - `gross[i, k]` is buyer i's `alpha * gross_utility` for seller k, and
+      `uos[i, k]` is that minus k's bid: the float operations of `uos`, so
+      values are equal to the scalar ones bit for bit.
     - `feasible[i, k]` is C1 (`pair_feasible`).
     - `sp_of[k]` is seller k's provider.
     - `edges[i]` lists buyer i's job-edge neighbours as `(j, allowed)`, where
@@ -125,8 +126,8 @@ class Market:
         self.cap = np.array([sel.capability for sel in sellers], dtype=np.float64)
         self.bid = np.array([sel.bid for sel in sellers], dtype=np.float64)
         jobs = [s.job_of(b) for b in self.buyers]
-        self._alpha = np.array([job.alpha for job in jobs], dtype=np.float64)
-        self._t = np.array(
+        alpha = np.array([job.alpha for job in jobs], dtype=np.float64)
+        t = np.array(
             [job.tolerable_times[b.component_index] for job, b in zip(jobs, self.buyers)],
             dtype=np.float64,
         )
@@ -135,8 +136,9 @@ class Market:
         ).reshape(len(s.coverage), len(self.sellers))
         covered = covers[[b.job_index for b in self.buyers]]
         # C1 without the UoS test, which is all a bid change can move.
-        self._admissible = covered & (self._t[:, None] + TOLERANCE >= self.cap)
-        self.uos = self._alpha[:, None] * (self._t[:, None] - self.cap) - self.bid
+        self._admissible = covered & (t[:, None] + TOLERANCE >= self.cap)
+        self.gross = alpha[:, None] * (t[:, None] - self.cap)
+        self.uos = self.gross - self.bid
         self.feasible = self._admissible & (self.uos > TOLERANCE)
 
         # C2 for every job edge and provider pair at once. The exponentials go
@@ -164,7 +166,7 @@ class Market:
         m.bid = self.bid.copy()
         m.bid[k] = bid
         m.uos = self.uos.copy()
-        m.uos[:, k] = self._alpha * (self._t - self.cap[k]) - bid
+        m.uos[:, k] = self.gross[:, k] - bid
         m.feasible = self.feasible.copy()
         m.feasible[:, k] = self._admissible[:, k] & (m.uos[:, k] > TOLERANCE)
         return m
@@ -177,8 +179,9 @@ class Market:
         m.sellers = self.sellers[:k] + self.sellers[k + 1 :]
         m.seller_index = {s: i for i, s in enumerate(m.sellers)}
         m.sp_of, m.cap, m.bid = (np.delete(a, k) for a in (self.sp_of, self.cap, self.bid))
-        m._admissible, m.uos, m.feasible = (
-            np.delete(a, k, axis=1) for a in (self._admissible, self.uos, self.feasible)
+        m._admissible, m.gross, m.uos, m.feasible = (
+            np.delete(a, k, axis=1)
+            for a in (self._admissible, self.gross, self.uos, self.feasible)
         )
         return m
 
@@ -186,6 +189,26 @@ class Market:
         """`edges` with Python-list tables, for per-node loops where indexing
         numpy scalars would be slower."""
         return [[(j, allowed.tolist()) for j, allowed in nbrs] for nbrs in self.edges]
+
+    def objective(self, pairs) -> float:
+        """`objective` from the compiled values, which may carry a bid that
+        the scenario does not: the same pairs, order and float operations."""
+        ordered = sorted(pairs)
+        rows = [self.buyer_index[b] for b, _ in ordered]
+        cols = [self.seller_index[sid] for _, sid in ordered]
+        return sum(self.uos[rows, cols].tolist(), 0.0)
+
+
+def _edges_ok(edges: list, sp_of: list[int], assigned: list[int], bi: int, si: int) -> bool:
+    """C2 for placing buyer `bi` on seller `si`, against every neighbour that
+    `assigned` (seller per buyer, -1 when open) has placed. `edges` and
+    `sp_of` are `Market.edge_lists()` and `Market.sp_of` as lists."""
+    sp = sp_of[si]
+    for other, allowed in edges[bi]:
+        osi = assigned[other]
+        if osi >= 0 and not allowed[sp][sp_of[osi]]:
+            return False
+    return True
 
 
 def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:

@@ -158,11 +158,12 @@ def ir_violations(s: Scenario, run: MechanismRun) -> list[str]:
     return bad
 
 
+def _pair_doc(b: BuyerId, sid: SellerId) -> dict:
+    return {"buyer": [b.job_index, b.component_index], "seller": [sid.sp_index, sid.vm_index, sid.rank]}
+
+
 def _pairs_doc(assignment: Assignment) -> list:
-    return [
-        {"buyer": [b.job_index, b.component_index], "seller": [s.sp_index, s.vm_index, s.rank]}
-        for b, s in assignment.pairs
-    ]
+    return [_pair_doc(b, sid) for b, sid in assignment.pairs]
 
 
 def _payments_doc(payments: dict[SellerId, float]) -> dict:
@@ -332,13 +333,10 @@ def verify_report(
         market = Market(s)
         lists = {b: build_buyer_list(s, b, market=market) for b in s.buyers}
         report["buyer_lists"] = serialize_buyer_lists(lists)
+        broker = build_broker_list(market)
         report["broker_list"] = [
-            {
-                "buyer": [e.buyer.job_index, e.buyer.component_index],
-                "seller": [e.seller.sp_index, e.seller.vm_index, e.seller.rank],
-                "value": e.value,
-            }
-            for e in build_broker_list([lists[b] for b in s.buyers]).entries
+            {**_pair_doc(market.buyers[i], market.sellers[k]), "value": v}
+            for i, k, v in zip(broker.buyer.tolist(), broker.seller.tolist(), broker.value.tolist())
         ]
         assert run.assignment is not None
         report["pairs"] = _pairs_doc(run.assignment)

@@ -10,6 +10,12 @@ single pair matched the anchor advances one list position and the scan
 restarts there. A winner pays its buyer's value for it minus the value of
 the entry immediately behind it in that buyer's list, so payment always
 covers the bid.
+
+The pipeline reads the compiled `Market` by index: the broker list is one
+sort of the feasible cells into buyer, seller and value arrays, the scan
+checks C2 with the helper the exact solvers use, and pricing reads the
+next entry of the winner's buyer from the same arrays. `PrefEntry` and
+`build_buyer_list` are the per-buyer view that `verify` serialises.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, BuyerId, Scenario, SellerId
-from .economics import Market, gross_utility, objective
+from .economics import Market, _edges_ok
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -59,9 +65,15 @@ class BuyerPrefList:
         return self.entries[:-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BrokerPrefList:
-    entries: tuple[PrefEntry, ...]
+    """Every real entry in scan order: entry i offers seller column
+    `seller[i]` of `market` to buyer row `buyer[i]` at `value[i]`."""
+
+    market: Market
+    buyer: np.ndarray
+    seller: np.ndarray
+    value: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,39 +114,34 @@ def build_buyer_list(
     return BuyerPrefList(buyer, entries)
 
 
-def build_broker_list(lists: list[BuyerPrefList]) -> BrokerPrefList:
-    """Merge all real entries, best value first; ties by buyer then seller."""
-    merged = [e for lst in lists for e in lst.real_entries()]
-    merged.sort(key=lambda e: (-e.value, e.buyer, e.seller))
-    return BrokerPrefList(tuple(merged))
+def build_broker_list(market: Market) -> BrokerPrefList:
+    """Merge all feasible cells, best value first; ties by buyer then seller
+    (rows and columns are in `BuyerId` and `SellerId` order)."""
+    rows, cols = np.nonzero(market.feasible)
+    values = market.uos[rows, cols]
+    order = np.lexsort((cols, rows, -values))
+    return BrokerPrefList(market, rows[order], cols[order], values[order])
 
 
-def match(
-    s: Scenario, broker: BrokerPrefList, market: Market | None = None
-) -> tuple[Assignment | None, tuple[tuple, ...]]:
-    """Scan the broker list until every buyer is matched or anchors run out.
+def match(s: Scenario, broker: BrokerPrefList) -> tuple[Assignment | None, tuple[tuple, ...]]:
+    """Scan the broker list built from `s` until every buyer is matched or
+    anchors run out.
 
     Returns the assignment (None on failure) and a trace of scan events:
     ("accept"|"skip"|"reject"|"delete"|"restart", index) plus a final
     ("complete",) or ("fail",). Accepted pairs always sit at increasing list
     positions, so the most recently accepted pair is the deepest one. A
     buyer with no entry at all fails the scan at once, with trace
-    (("fail",),). `market` is `s` compiled, when the caller already has it.
+    (("fail",),). Every entry is C1-feasible, so the scan checks C2 and C4.
     """
-    entries = broker.entries
     total_buyers = len(s.buyers)
-    trace: list[tuple] = []
     if total_buyers == 0:
-        trace.append(("complete",))
-        return Assignment(()), tuple(trace)
-    m = market if market is not None else Market(s)
-    eb = [m.buyer_index[e.buyer] for e in entries]
-    es = [m.seller_index[e.seller] for e in entries]
+        return Assignment(()), (("complete",),)
+    eb, es = broker.buyer.tolist(), broker.seller.tolist()
     if len(set(eb)) < total_buyers:
-        trace.append(("fail",))
-        return None, tuple(trace)
+        return None, (("fail",),)
 
-    c1 = m.feasible[eb, es].tolist()
+    m = broker.market
     sp_of, edges = m.sp_of.tolist(), m.edge_lists()
     seller_of = [-1] * total_buyers
     taken = [False] * len(m.sellers)
@@ -152,15 +159,11 @@ def match(
             [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(seller_of)]
         )
 
-    L = len(entries)
+    L = len(eb)
     stack: list[int] = [0]
     put(0)
-    trace.append(("accept", 0))
+    trace: list[tuple] = [("accept", 0)]
     pos = 1
-
-    if len(stack) == total_buyers:
-        trace.append(("complete",))
-        return result(), tuple(trace)
 
     while True:
         idx = pos
@@ -168,19 +171,12 @@ def match(
             bi, si = eb[idx], es[idx]
             if seller_of[bi] >= 0 or taken[si]:
                 trace.append(("skip", idx))
-            elif not c1[idx]:
+            elif not _edges_ok(edges, sp_of, seller_of, bi, si):
                 trace.append(("reject", idx))
             else:
-                own = sp_of[si]
-                for j, allowed in edges[bi]:
-                    sj = seller_of[j]
-                    if sj >= 0 and not allowed[own][sp_of[sj]]:
-                        trace.append(("reject", idx))
-                        break
-                else:
-                    stack.append(idx)
-                    put(idx)
-                    trace.append(("accept", idx))
+                stack.append(idx)
+                put(idx)
+                trace.append(("accept", idx))
             idx += 1
         if len(stack) == total_buyers:
             trace.append(("complete",))
@@ -200,56 +196,44 @@ def match(
             put(anchor)
             trace.append(("restart", anchor))
             pos = anchor + 1
-            if len(stack) == total_buyers:
-                trace.append(("complete",))
-                return result(), tuple(trace)
 
 
-def matching_payment(
-    s: Scenario,
-    lists: dict[BuyerId, BuyerPrefList],
-    assignment: Assignment,
-    winner: SellerId,
-) -> float:
-    """Winner's buyer-side value minus the next entry's value in that list.
-
-    The next entry may be the virtual critical one, whose value is used
-    directly; since lists are sorted, payment never drops below the bid.
+def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: SellerId) -> float:
+    """Winner's buyer-side value minus the next entry's value in that
+    buyer's list: its next entry in broker order, or the virtual critical
+    one. Since lists are sorted, payment never drops below the bid.
     """
     buyer = assignment.seller_to_buyer().get(winner)
     if buyer is None:
         raise ValueError(f"{winner.label()} is not a winner")
-    lst = lists[buyer]
-    position = None
-    for i, e in enumerate(lst.entries):
-        if e.seller == winner:
-            position = i
-            break
-    if position is None:
+    m = broker.market
+    bi, si = m.buyer_index[buyer], m.seller_index.get(winner, -1)
+    own = np.flatnonzero(broker.buyer == bi)
+    position = np.flatnonzero(broker.seller[own] == si)
+    if not position.size:
         raise ValueError(f"{winner.label()} not in {buyer.label()}'s list")
-    nxt = lst.entries[position + 1]
-    sel = s.seller(winner)
-    own = s.alpha(buyer) * gross_utility(s.tolerable_time(buyer), sel.capability)
-    return own - nxt.value
+    values = broker.value[own].tolist()
+    nxt = position[0] + 1
+    next_value = values[nxt] if nxt < len(values) else values[-1] - DEFAULT_DELTA
+    return m.gross[bi, si].item() - next_value
 
 
 def run_matching(s: Scenario) -> MatchingOutcome:
-    """Full pipeline: build lists, match, price winners."""
+    """Full pipeline: build the broker list, match, price winners."""
     return _run(s, Market(s))[0]
 
 
 def _run(s: Scenario, market: Market) -> tuple[MatchingOutcome, BrokerPrefList]:
-    """run_matching on a compiled market; also returns the broker list."""
-    lists = {b: build_buyer_list(s, b, market=market) for b in s.buyers}
-    broker = build_broker_list([lists[b] for b in s.buyers])
-    assignment, trace = match(s, broker, market=market)
+    """run_matching on `s` compiled into `market`, which may carry a bid that
+    `s` does not; also returns the broker list."""
+    broker = build_broker_list(market)
+    assignment, trace = match(s, broker)
     if assignment is None:
         return MatchingOutcome(None, 0.0, {}, trace), broker
     payments = {
-        sid: matching_payment(s, lists, assignment, sid)
-        for sid in assignment.seller_to_buyer()
+        sid: matching_payment(broker, assignment, sid) for sid in assignment.seller_to_buyer()
     }
-    return MatchingOutcome(assignment, objective(s, assignment), payments, trace), broker
+    return MatchingOutcome(assignment, market.objective(assignment.pairs), payments, trace), broker
 
 
 def _classify(utility: float, truthful_utility: float, won: bool) -> str:
@@ -280,12 +264,12 @@ def verify_truthfulness_matching(s: Scenario, sid: SellerId) -> dict:
     market = Market(s)
     rows, shapes = [], []
     for bid in default_bid_grid(q):
-        outcome, broker = _run(s.with_seller_bid(sid, bid), market.with_bid(sid, bid))
+        outcome, broker = _run(s, market.with_bid(sid, bid))
         won = outcome.success and sid in outcome.payments
         payment = outcome.payments[sid] if won else None
         utility = (payment - q) if won else 0.0
         rows.append({"bid": bid, "won": won, "payment": payment, "utility": utility})
-        shapes.append(tuple((e.buyer, e.seller) for e in broker.entries))
+        shapes.append((broker.buyer.tobytes(), broker.seller.tobytes()))
 
     truthful = next(i for i, r in enumerate(rows) if r["bid"] == q)
     truthful_utility = rows[truthful]["utility"]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, Scenario, SellerId
-from .economics import Market, _max_assignment, objective
+from .economics import Market, _edges_ok, _max_assignment, objective
 
 __all__ = [
     "BudgetExceeded",
@@ -68,15 +68,6 @@ class OptOutcome:
 def _pair_list(m: Market, assigned: list[int]) -> tuple:
     pairs = [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(assigned) if si >= 0]
     return tuple(sorted(pairs))
-
-
-def _edges_ok(edges: list, sp_of: list[int], assigned: list[int], bi: int, si: int) -> bool:
-    sp = sp_of[si]
-    for other, allowed in edges[bi]:
-        osi = assigned[other]
-        if osi >= 0 and not allowed[sp][sp_of[osi]]:
-            return False
-    return True
 
 
 def solve_naive(
@@ -261,12 +252,7 @@ def solve_optimal(
 
     if best_pairs is None:
         return SolveResult(None, 0.0, nodes)
-    # objective(s, ...) from the market's values, which may carry a bid
-    # that `s` does not: the same pairs, order and float operations.
-    value = 0.0
-    for b, sid in best_pairs:
-        value += uos[m.buyer_index[b]][m.seller_index[sid]]
-    return SolveResult(Assignment(best_pairs), value, nodes)
+    return SolveResult(Assignment(best_pairs), m.objective(best_pairs), nodes)
 
 
 def _pivot(

@@ -106,6 +106,15 @@ def make_tiny(seed: int) -> Scenario:
     return s
 
 
+def broker_entries(broker) -> list[tuple]:
+    """A broker list as `(BuyerId, SellerId, value)` triples in scan order."""
+    m = broker.market
+    return [
+        (m.buyers[i], m.sellers[k], v)
+        for i, k, v in zip(broker.buyer.tolist(), broker.seller.tolist(), broker.value.tolist())
+    ]
+
+
 def backtrack_scenario() -> Scenario:
     """Two buyers whose top seller sits on a provider the job edge cannot span.
 

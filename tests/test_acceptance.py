@@ -15,6 +15,7 @@ from vcauction import (
     build_broker_list,
     build_buyer_list,
     experiment,
+    Market,
     generate,
     gross_utility,
     ir_violations,
@@ -30,7 +31,7 @@ from vcauction import (
 )
 from vcauction.model import BuyerId, SellerId
 
-from helpers import make_tiny
+from helpers import broker_entries, make_tiny
 
 
 def _verdict(n: int, ok: bool, details: str) -> None:
@@ -239,12 +240,14 @@ def test_criterion_8_structural_invariants():
             if lst.real_entries():
                 assert lst.entries[-1].value < lst.real_entries()[-1].value
             list_checks += 1
-        broker = build_broker_list(lists)
+        # Two derivations of the broker list: one sort of the market's
+        # feasible cells, and the sorted union of the buyer lists.
+        broker = build_broker_list(Market(s))
         want = sorted(
             ((e.value, e.buyer, e.seller) for lst in lists for e in lst.real_entries()),
             key=lambda t: (-t[0], t[1], t[2]),
         )
-        got = [(e.value, e.buyer, e.seller) for e in broker.entries]
+        got = [(value, b, sid) for b, sid, value in broker_entries(broker)]
         assert got == want
 
     payments_checked = 0

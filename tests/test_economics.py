@@ -222,6 +222,7 @@ def _assert_kernel_matches_spec(s, excluded, m):
             sel = s.seller(sid)
             want = uos(s.alpha(b), gross_utility(s.tolerable_time(b), sel.capability), sel.bid)
             assert m.uos[i, k] == want
+            assert m.gross[i, k] == s.alpha(b) * gross_utility(s.tolerable_time(b), sel.capability)
             assert m.feasible[i, k] == pair_feasible(s, b, sid)
     n_sp = len(s.sps)
     tables = {(i, j): allowed for i, nbrs in enumerate(m.edges) for j, allowed in nbrs}
@@ -254,6 +255,7 @@ def test_market_kernel_equals_scalar_rules(source, seed, reverse, data):
     bid = s.seller(sid).true_value * data.draw(st.floats(0.25, 3.0))
     rebid = m.with_bid(sid, bid)
     fresh = Market(s.with_seller_bid(sid, bid), excluded)
+    assert np.array_equal(rebid.gross, fresh.gross)
     assert np.array_equal(rebid.uos, fresh.uos)
     assert np.array_equal(rebid.feasible, fresh.feasible)
     assert np.array_equal(rebid.bid, fresh.bid)
@@ -261,7 +263,7 @@ def test_market_kernel_equals_scalar_rules(source, seed, reverse, data):
     dropped = m.without(sid)
     _assert_kernel_matches_spec(s, excluded | {sid}, dropped)
     fresh = Market(s, excluded | {sid})
-    for name in ("uos", "feasible", "sp_of", "cap", "bid", "_admissible"):
+    for name in ("gross", "uos", "feasible", "sp_of", "cap", "bid", "_admissible"):
         assert np.array_equal(getattr(dropped, name), getattr(fresh, name)), name
     assert dropped.seller_index == fresh.seller_index
     # The source kernel is left as it was.

@@ -10,8 +10,7 @@ import pytest
 from vcauction import (
     Assignment,
     BuyerId,
-    BuyerPrefList,
-    PrefEntry,
+    Market,
     Scenario,
     SellerId,
     ServiceProvider,
@@ -31,7 +30,7 @@ from vcauction import (
 )
 import vcauction.matching as matching_module
 
-from helpers import backtrack_scenario, make_tiny
+from helpers import backtrack_scenario, broker_entries, make_tiny
 from test_optimal import one_sp_scenario
 
 DELTA = 1e-3
@@ -67,22 +66,22 @@ def test_broker_list_is_union_of_real_entries():
     for seed in range(30):
         s = make_tiny(seed)
         lists = [build_buyer_list(s, b) for b in s.buyers]
-        broker = build_broker_list(lists)
-        assert not any(e.is_virtual for e in broker.entries)
-        values = [e.value for e in broker.entries]
+        entries = broker_entries(build_broker_list(Market(s)))
+        values = [v for _, _, v in entries]
         assert all(x >= y for x, y in zip(values, values[1:]))
+        # The scan does not re-check C1, so every entry must satisfy it.
+        assert all(pair_feasible(s, b, sid) for b, sid, _ in entries)
         want = collections.Counter(
             (e.buyer, e.seller, e.value) for lst in lists for e in lst.real_entries()
         )
-        got = collections.Counter((e.buyer, e.seller, e.value) for e in broker.entries)
-        assert got == want
-        assert build_broker_list(lists) == broker
+        assert collections.Counter(entries) == want
+        assert broker_entries(build_broker_list(Market(s))) == entries
 
 
 def test_broker_tie_break_by_buyer_then_seller():
     s = backtrack_scenario()
-    broker = build_broker_list([build_buyer_list(s, b) for b in s.buyers])
-    keyed = [(e.buyer, e.seller) for e in broker.entries]
+    broker = build_broker_list(Market(s))
+    keyed = [(b, sid) for b, sid, _ in broker_entries(broker)]
     # both buyers value every seller identically, so buyers alternate
     assert keyed == [
         (BuyerId(0, 0), SellerId(0, 0, 1)),
@@ -198,10 +197,10 @@ def test_payment_worked_example():
 def test_payment_last_real_entry_is_bid_plus_delta():
     s = payment_example_scenario()
     b = s.buyers[0]
-    lists = {b: build_buyer_list(s, b)}
+    broker = build_broker_list(Market(s))
     runner_up = SellerId(0, 0, 2)
     forced = Assignment.from_pairs([(b, runner_up)])
-    pay = matching_payment(s, lists, forced, runner_up)
+    pay = matching_payment(broker, forced, runner_up)
     assert pay == pytest.approx(s.seller(runner_up).bid + DELTA)
     assert pay == pytest.approx(0.101)
 
@@ -209,15 +208,16 @@ def test_payment_last_real_entry_is_bid_plus_delta():
 def test_payment_errors():
     s = payment_example_scenario()
     b = s.buyers[0]
-    lists = {b: build_buyer_list(s, b)}
+    broker = build_broker_list(Market(s))
     a = Assignment.from_pairs([(b, SellerId(0, 0, 1))])
-    with pytest.raises(ValueError):
-        matching_payment(s, lists, a, SellerId(0, 0, 2))
-    best = lists[b].entries[0]
-    truncated = {b: BuyerPrefList(b, (best, PrefEntry(b, None, best.value - DELTA)))}
-    off_list = Assignment.from_pairs([(b, SellerId(0, 0, 2))])
-    with pytest.raises(ValueError):
-        matching_payment(s, truncated, off_list, SellerId(0, 0, 2))
+    with pytest.raises(ValueError, match="is not a winner"):
+        matching_payment(broker, a, SellerId(0, 0, 2))
+    # The third seller is priced out, so it has no entry in the buyer's list.
+    priced_out = SellerId(0, 0, 3)
+    assert not pair_feasible(s, b, priced_out)
+    off_list = Assignment.from_pairs([(b, priced_out)])
+    with pytest.raises(ValueError, match="not in .*'s list"):
+        matching_payment(broker, off_list, priced_out)
 
 
 def test_payments_cover_bids_everywhere():
@@ -243,9 +243,8 @@ def test_scan_step_bound_on_preset_instances():
     for cfg, seeds in cases:
         for seed in seeds:
             s = generate(cfg, seed=seed)
-            lists = [build_buyer_list(s, b) for b in s.buyers]
-            broker = build_broker_list(lists)
-            L, b = len(broker.entries), len(s.buyers)
+            broker = build_broker_list(Market(s))
+            L, b = len(broker.buyer), len(s.buyers)
             _, trace = match(s, broker)
             visits = sum(1 for ev in trace if ev[0] in ("accept", "skip", "reject"))
             assert visits <= (L - b) * b + L
