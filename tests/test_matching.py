@@ -93,6 +93,23 @@ def test_broker_tie_break_by_buyer_then_seller():
     ]
 
 
+def test_broker_ties_across_buyers_and_sellers():
+    """Four cells of equal value on two buyers and two sellers: buyer first,
+    then seller. The buyers of the test above differ only in the buyer, so
+    there a seller-first order would read the same."""
+    s = one_sp_scenario(times=(0.7, 0.7), alpha=1.0, bases=(0.3, 0.3))
+    for sel in s.sellers:
+        s = s.with_seller_bid(sel.id, 0.1)
+    keyed = [(b, sid) for b, sid, _ in broker_entries(build_broker_list(Market(s)))]
+    b0, b1 = s.buyers
+    assert keyed == [
+        (b0, SellerId(0, 0, 1)),
+        (b0, SellerId(0, 1, 1)),
+        (b1, SellerId(0, 0, 1)),
+        (b1, SellerId(0, 1, 1)),
+    ]
+
+
 def test_backtracking_run_frozen_trace():
     """The cross-provider constraint kills every completion of the top pair,
     so the scan walks both fallback stages before completing."""
