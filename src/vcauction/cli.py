@@ -133,12 +133,15 @@ def cmd_verify(args) -> int:
         _write_json(out, report)
         _write_csv(out.with_suffix(".csv"), rows)
     if not report["success"]:
-        print(f"{args.mechanism}: no feasible allocation, nothing to verify")
+        status = "budget exceeded" if report["truncated"] else "no feasible allocation"
+        print(f"{args.mechanism}: {status}, nothing to verify")
         return 0
     print(
         f"{args.mechanism}: objective {report['objective']:.6f}, "
         f"{len(report['winners'])} winners, {len(rows)} sweep rows"
     )
+    if report["truncated"]:
+        print(f"{args.mechanism}: budget exceeded before every sweep finished")
     for v in report["violations"]:
         print(f"  VIOLATION: {v}", file=sys.stderr)
     return 1 if report["violations"] else 0

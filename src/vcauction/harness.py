@@ -298,15 +298,19 @@ def verify_report(
     """Run one mechanism, audit rationality, and sweep every winner's bid.
 
     Returns (report, sweep_rows); report["violations"] non-empty means the
-    auction failed a hard property.
+    auction failed a hard property. For `opt` the budget covers the auction
+    and the sweeps together; report["truncated"] says it ran out, and the
+    rows of the sweeps finished by then are kept.
     """
     if mechanism not in ("opt", "maxuosg"):
         raise ValueError("verify supports mechanisms 'opt' and 'maxuosg'")
+    deadline = time.perf_counter() + budget_secs if budget_secs is not None else None
     run = run_mechanism(s, mechanism, budget_secs=budget_secs)
     report: dict = {
         "mechanism": mechanism,
         "scenario_digest": scenario_digest(s),
         "success": run.success,
+        "truncated": run.truncated,
         "objective": run.objective_value,
         "violations": [],
         "winners": [],
@@ -343,7 +347,11 @@ def verify_report(
 
     for sid in sorted(run.payments):
         if mechanism == "opt":
-            sweep = verify_truthfulness_opt(s, sid)
+            try:
+                sweep = verify_truthfulness_opt(s, sid, _deadline=deadline)
+            except BudgetExceeded:
+                report["truncated"] = True
+                break
             if sweep["dominance_violations"]:
                 report["violations"].append(
                     f"opt: dominance violated for {sid.label()} at bids {sweep['dominance_violations']}"

@@ -312,24 +312,27 @@ def default_bid_grid(true_value: float) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-def verify_truthfulness_opt(s: Scenario, sid: SellerId) -> dict:
+def verify_truthfulness_opt(s: Scenario, sid: SellerId, _deadline: float | None = None) -> dict:
     """Sweep one seller's reported bid over `default_bid_grid(q)` and compare
     utilities against the truthful q row.
 
     Utility is payment - true_value when the seller wins, else 0. The removal
     term F_without never involves the swept seller's bid, so it is computed
     once. The scenario is compiled once; each grid point re-prices one column.
-    The report flags any bid whose utility beats the truthful one.
+    The report flags any bid whose utility beats the truthful one. Every
+    solve stops with BudgetExceeded past the `perf_counter` time `_deadline`.
     """
     q = s.seller(sid).true_value
     m = Market(s)
-    without = solve_optimal(s, excluded=frozenset({sid}), market=m.without(sid))
+    without = solve_optimal(
+        s, excluded=frozenset({sid}), market=m.without(sid), _deadline=_deadline
+    )
     f_wo = without.objective_value if without.assignment is not None else 0.0
 
     rows = []
     truthful_utility = 0.0
     for bid in default_bid_grid(q):
-        res = solve_optimal(s, market=m.with_bid(sid, bid))
+        res = solve_optimal(s, market=m.with_bid(sid, bid), _deadline=_deadline)
         won = res.assignment is not None and sid in res.assignment.seller_to_buyer()
         if won:
             payment = res.objective_value - f_wo + bid

@@ -1,6 +1,7 @@
 """End-to-end command line tests, driven through main(argv)."""
 import csv
 import json
+import time
 
 import pytest
 
@@ -108,6 +109,19 @@ def test_verify_infeasible_is_not_a_violation(tmp_path, tiny_config_file, capsys
     assert main(["generate", "--config", tiny_config_file, "--seed", "3", "--out", str(path)]) == 0
     assert main(["verify", str(path)]) == 0
     assert "nothing to verify" in capsys.readouterr().out
+
+
+def test_verify_budget_exceeded(tmp_path, capsys):
+    """A budget that runs out in the auction or in the sweeps says so."""
+    path = tmp_path / "small.json"
+    assert main(["generate", "--preset", "small", "--seed", "0", "--out", str(path)]) == 0
+    for budget in ("1", "0.01"):
+        start = time.perf_counter()
+        assert main(["verify", str(path), "--mechanism", "opt", "--budget-secs", budget]) == 0
+        assert time.perf_counter() - start < 3.0
+        printed = capsys.readouterr().out
+        assert "budget exceeded" in printed
+        assert "no feasible allocation" not in printed
 
 
 def test_experiment_writes_summary_and_rows(tmp_path, tiny_config_file, capsys):

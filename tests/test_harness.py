@@ -1,5 +1,6 @@
 """Experiment-plumbing tests."""
 import json
+import time
 
 import pytest
 
@@ -153,11 +154,26 @@ def test_verify_report_matching():
 def test_verify_report_exact_solver():
     s = make_tiny(0)
     report, rows = verify_report(s, "opt")
-    assert report["success"]
+    assert report["success"] and not report["truncated"]
     assert report["violations"] == []
     assert report["sweeps"]
     assert rows
     assert "buyer_lists" not in report
+
+
+def test_verify_report_budget_bounds_the_exact_sweeps():
+    """The budget covers the exact auction and its bid sweeps together. On
+    `small` seed 0 the whole audit takes about 15 s, nearly all of it in the
+    sweeps' solves."""
+    s = generate(preset("small"), seed=0)
+    start = time.perf_counter()
+    report, _ = verify_report(s, "opt", budget_secs=1.0)
+    assert time.perf_counter() - start < 3.0
+    assert report["truncated"]
+    assert len(report["sweeps"]) < len(report["winners"]) or not report["success"]
+    # A budget that the auction itself overruns is truncated, not infeasible.
+    report, rows = verify_report(s, "opt", budget_secs=0.01)
+    assert report["truncated"] and not report["success"] and rows == []
 
 
 def test_verify_report_infeasible_scenario():
