@@ -207,13 +207,12 @@ def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: Sel
     if buyer is None:
         raise ValueError(f"{winner.label()} is not a winner")
     m = broker.market
-    bi, si = m.buyer_index[buyer], m.seller_index.get(winner, -1)
-    own = np.flatnonzero(broker.buyer == bi)
-    position = np.flatnonzero(broker.seller[own] == si)
-    if not position.size:
+    bi, si = m.buyer_index[buyer], m.seller_index.get(winner)
+    own = broker.buyer == bi
+    sellers, values = broker.seller[own].tolist(), broker.value[own].tolist()
+    if si not in sellers:
         raise ValueError(f"{winner.label()} not in {buyer.label()}'s list")
-    values = broker.value[own].tolist()
-    nxt = position[0] + 1
+    nxt = sellers.index(si) + 1
     next_value = values[nxt] if nxt < len(values) else values[-1] - DEFAULT_DELTA
     return m.gross[bi, si].item() - next_value
 
