@@ -154,11 +154,6 @@ def match(s: Scenario, broker: BrokerPrefList) -> tuple[Assignment | None, tuple
         seller_of[eb[i]] = -1
         taken[es[i]] = False
 
-    def result() -> Assignment:
-        return Assignment.from_pairs(
-            [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(seller_of)]
-        )
-
     L = len(eb)
     stack: list[int] = [0]
     put(0)
@@ -180,7 +175,8 @@ def match(s: Scenario, broker: BrokerPrefList) -> tuple[Assignment | None, tuple
             idx += 1
         if len(stack) == total_buyers:
             trace.append(("complete",))
-            return result(), tuple(trace)
+            pairs = [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(seller_of)]
+            return Assignment.from_pairs(pairs), tuple(trace)
         if len(stack) > 1:
             dropped = stack.pop()
             drop(dropped)
@@ -212,9 +208,8 @@ def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: Sel
     sellers, values = broker.seller[own].tolist(), broker.value[own].tolist()
     if si not in sellers:
         raise ValueError(f"{winner.label()} not in {buyer.label()}'s list")
-    nxt = sellers.index(si) + 1
-    next_value = values[nxt] if nxt < len(values) else values[-1] - DEFAULT_DELTA
-    return m.gross[bi, si].item() - next_value
+    values.append(values[-1] - DEFAULT_DELTA)  # the virtual critical entry
+    return m.gross[bi, si].item() - values[sellers.index(si) + 1]
 
 
 def run_matching(s: Scenario) -> MatchingOutcome:
