@@ -233,6 +233,8 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:
         pred = [-1] * n_cols
         done = [False] * n_cols
         scanned: list[int] = []
+        # Columns reached and not yet scanned: the others are at distance inf.
+        reached: list[int] = []
         r, d_r = start, 0.0
         while True:
             base = d_r + row_pot[r]
@@ -240,10 +242,13 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:
                 nd = base - w - col_pot[j]
                 # A scanned column is final; rounding must not re-route it.
                 if nd < dist[j] and not done[j]:
+                    if pred[j] < 0:
+                        reached.append(j)
                     dist[j], pred[j] = nd, r
+            # The nearest reached column, the lowest index on ties.
             j, d_j = -1, math.inf
-            for k in range(n_cols):
-                if not done[k] and dist[k] < d_j:
+            for k in reached:
+                if dist[k] < d_j or (dist[k] == d_j and k < j):
                     j, d_j = k, dist[k]
             if j < 0:
                 return -math.inf
@@ -251,6 +256,7 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:
                 free = j
                 break
             done[j] = True
+            reached.remove(j)
             scanned.append(j)
             r, d_r = row_of[j], d_j
             cells = rows[r]

@@ -98,10 +98,16 @@ def run_mechanism(
             detail["explored_nodes"] = outcome.explored_nodes
             detail["pivot_nodes"] = outcome.pivot_nodes
     elif name == "maxuosg":
-        outcome = run_matching(s)
-        detail["trace_events"] = len(outcome.match_trace)
-        detail["match_trace"] = outcome.match_trace
-        if outcome.success:
+        deadline = t0 + budget_secs if budget_secs is not None else None
+        try:
+            outcome = run_matching(s, _deadline=deadline)
+        except BudgetExceeded:
+            outcome = None
+            truncated = True
+        if outcome is not None:
+            detail["trace_events"] = len(outcome.match_trace)
+            detail["match_trace"] = outcome.match_trace
+        if outcome is not None and outcome.success:
             assignment = outcome.assignment
             payments = outcome.payments
     else:
@@ -298,9 +304,9 @@ def verify_report(
     """Run one mechanism, audit rationality, and sweep every winner's bid.
 
     Returns (report, sweep_rows); report["violations"] non-empty means the
-    auction failed a hard property. For `opt` the budget covers the auction
-    and the sweeps together; report["truncated"] says it ran out, and the
-    rows of the sweeps finished by then are kept.
+    auction failed a hard property. The budget covers the auction and the
+    sweeps together; report["truncated"] says it ran out, and the rows of
+    the sweeps finished by then are kept.
     """
     if mechanism not in ("opt", "maxuosg"):
         raise ValueError("verify supports mechanisms 'opt' and 'maxuosg'")
@@ -345,19 +351,17 @@ def verify_report(
         assert run.assignment is not None
         report["pairs"] = _pairs_doc(run.assignment)
 
+    sweep_of = verify_truthfulness_opt if mechanism == "opt" else verify_truthfulness_matching
     for sid in sorted(run.payments):
-        if mechanism == "opt":
-            try:
-                sweep = verify_truthfulness_opt(s, sid, _deadline=deadline)
-            except BudgetExceeded:
-                report["truncated"] = True
-                break
-            if sweep["dominance_violations"]:
-                report["violations"].append(
-                    f"opt: dominance violated for {sid.label()} at bids {sweep['dominance_violations']}"
-                )
-        else:
-            sweep = verify_truthfulness_matching(s, sid)
+        try:
+            sweep = sweep_of(s, sid, _deadline=deadline)
+        except BudgetExceeded:
+            report["truncated"] = True
+            break
+        if mechanism == "opt" and sweep["dominance_violations"]:
+            report["violations"].append(
+                f"opt: dominance violated for {sid.label()} at bids {sweep['dominance_violations']}"
+            )
         label = f"{sid.sp_index}:{sid.vm_index}:{sid.rank}"
         report["sweeps"].append(
             {

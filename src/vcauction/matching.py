@@ -19,12 +19,16 @@ next entry of the winner's buyer from the same arrays. `PrefEntry` and
 """
 from __future__ import annotations
 
+import math
+import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import TOLERANCE, Assignment, BuyerId, Scenario, SellerId
-from .economics import Market, _edges_ok
+from .economics import Market, _edges_ok, _max_assignment
+from .optimal import BudgetExceeded, default_bid_grid
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -123,16 +127,27 @@ def build_broker_list(market: Market) -> BrokerPrefList:
     return BrokerPrefList(market, rows[order], cols[order], values[order])
 
 
-def match(s: Scenario, broker: BrokerPrefList) -> tuple[Assignment | None, tuple[tuple, ...]]:
+def match(
+    s: Scenario, broker: BrokerPrefList, *, _deadline: float | None = None
+) -> tuple[Assignment | None, tuple[tuple, ...]]:
     """Scan the broker list built from `s` until every buyer is matched or
     anchors run out.
 
     Returns the assignment (None on failure) and a trace of scan events:
-    ("accept"|"skip"|"reject"|"delete"|"restart", index) plus a final
+    ("accept"|"skip"|"reject"|"delete"|"restart"|"prune", index) plus a final
     ("complete",) or ("fail",). Accepted pairs always sit at increasing list
     positions, so the most recently accepted pair is the deepest one. A
     buyer with no entry at all fails the scan at once, with trace
     (("fail",),). Every entry is C1-feasible, so the scan checks C2 and C4.
+
+    From the first dead end on, the scan prunes: a state whose open buyers
+    cannot all get distinct free sellers from their entries at or past the
+    resume position, C2-compatible with the placed buyers, holds no
+    completion. It is recorded as ("prune", position) and left as a dead
+    end, so the first completion found is the unpruned scan's. If the
+    buyers cannot get distinct sellers from their whole lists, the scan
+    fails there. Deletes and restarts raise BudgetExceeded past the
+    `perf_counter` time `_deadline`.
     """
     total_buyers = len(s.buyers)
     if total_buyers == 0:
@@ -143,8 +158,11 @@ def match(s: Scenario, broker: BrokerPrefList) -> tuple[Assignment | None, tuple
 
     m = broker.market
     sp_of, edges = m.sp_of.tolist(), m.edge_lists()
+    n_sellers = len(m.sellers)
     seller_of = [-1] * total_buyers
-    taken = [False] * len(m.sellers)
+    taken = [False] * n_sellers
+    # Each buyer's ascending list positions, built at the first dead end.
+    positions: list[list[int]] = []
 
     def put(i: int) -> None:
         seller_of[eb[i]] = es[i]
@@ -153,6 +171,22 @@ def match(s: Scenario, broker: BrokerPrefList) -> tuple[Assignment | None, tuple
     def drop(i: int) -> None:
         seller_of[eb[i]] = -1
         taken[es[i]] = False
+
+    def hall(start: int) -> bool:
+        """Whether the open buyers can still get distinct free sellers from
+        their entries at positions >= start, against the placed buyers' C2."""
+        rows = []
+        for bi, own in enumerate(positions):
+            if seller_of[bi] < 0:
+                cells = [
+                    (es[i], 0.0)
+                    for i in own[bisect_left(own, start):]
+                    if not taken[es[i]] and _edges_ok(edges, sp_of, seller_of, bi, es[i])
+                ]
+                if not cells:
+                    return False
+                rows.append(cells)
+        return _max_assignment(rows, n_sellers) > -math.inf
 
     L = len(eb)
     stack: list[int] = [0]
@@ -172,26 +206,44 @@ def match(s: Scenario, broker: BrokerPrefList) -> tuple[Assignment | None, tuple
                 stack.append(idx)
                 put(idx)
                 trace.append(("accept", idx))
+                if positions and len(stack) < total_buyers and not hall(idx + 1):
+                    trace.append(("prune", idx + 1))
+                    break
             idx += 1
         if len(stack) == total_buyers:
             trace.append(("complete",))
             pairs = [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(seller_of)]
             return Assignment.from_pairs(pairs), tuple(trace)
-        if len(stack) > 1:
-            dropped = stack.pop()
-            drop(dropped)
-            trace.append(("delete", dropped))
-            pos = dropped + 1
-        else:
-            anchor = stack[0] + 1
-            if anchor >= L:
-                trace.append(("fail",))
+        if not positions:
+            positions = [[] for _ in range(total_buyers)]
+            for i, bi in enumerate(eb):
+                positions[bi].append(i)
+            whole = [[(es[i], 0.0) for i in own] for own in positions]
+            if _max_assignment(whole, n_sellers) == -math.inf:
+                trace += [("prune", 0), ("fail",)]
                 return None, tuple(trace)
-            drop(stack[0])
-            stack[0] = anchor
-            put(anchor)
-            trace.append(("restart", anchor))
-            pos = anchor + 1
+        # Backtrack until a state passes the prune test.
+        while True:
+            if _deadline is not None and time.perf_counter() > _deadline:
+                raise BudgetExceeded(f"matching scan stopped after {len(trace)} events")
+            if len(stack) > 1:
+                dropped = stack.pop()
+                drop(dropped)
+                trace.append(("delete", dropped))
+                pos = dropped + 1
+            else:
+                anchor = stack[0] + 1
+                if anchor >= L:
+                    trace.append(("fail",))
+                    return None, tuple(trace)
+                drop(stack[0])
+                stack[0] = anchor
+                put(anchor)
+                trace.append(("restart", anchor))
+                pos = anchor + 1
+            if hall(pos):
+                break
+            trace.append(("prune", pos))
 
 
 def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: SellerId) -> float:
@@ -199,7 +251,7 @@ def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: Sel
     buyer's list: its next entry in broker order, or the virtual critical
     one. Since lists are sorted, payment never drops below the bid.
     """
-    buyer = assignment.seller_to_buyer().get(winner)
+    buyer = assignment.buyer_of(winner)
     if buyer is None:
         raise ValueError(f"{winner.label()} is not a winner")
     m = broker.market
@@ -212,21 +264,22 @@ def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: Sel
     return m.gross[bi, si].item() - values[sellers.index(si) + 1]
 
 
-def run_matching(s: Scenario) -> MatchingOutcome:
-    """Full pipeline: build the broker list, match, price winners."""
-    return _run(s, Market(s))[0]
+def run_matching(s: Scenario, *, _deadline: float | None = None) -> MatchingOutcome:
+    """Full pipeline: build the broker list, match, price winners. The scan
+    raises BudgetExceeded past the `perf_counter` time `_deadline`."""
+    return _run(s, Market(s), _deadline)[0]
 
 
-def _run(s: Scenario, market: Market) -> tuple[MatchingOutcome, BrokerPrefList]:
+def _run(
+    s: Scenario, market: Market, deadline: float | None = None
+) -> tuple[MatchingOutcome, BrokerPrefList]:
     """run_matching on `s` compiled into `market`, which may carry a bid that
     `s` does not; also returns the broker list."""
     broker = build_broker_list(market)
-    assignment, trace = match(s, broker)
+    assignment, trace = match(s, broker, _deadline=deadline)
     if assignment is None:
         return MatchingOutcome(None, 0.0, {}, trace), broker
-    payments = {
-        sid: matching_payment(broker, assignment, sid) for sid in assignment.seller_to_buyer()
-    }
+    payments = {sid: matching_payment(broker, assignment, sid) for _, sid in assignment.pairs}
     return MatchingOutcome(assignment, market.objective(assignment.pairs), payments, trace), broker
 
 
@@ -242,7 +295,7 @@ def _classify(utility: float, truthful_utility: float, won: bool) -> str:
     return "no-gain"
 
 
-def verify_truthfulness_matching(s: Scenario, sid: SellerId) -> dict:
+def verify_truthfulness_matching(s: Scenario, sid: SellerId, _deadline: float | None = None) -> dict:
     """Sweep one seller's bid over `default_bid_grid(q)` through the full
     matching pipeline.
 
@@ -250,15 +303,14 @@ def verify_truthfulness_matching(s: Scenario, sid: SellerId) -> dict:
     utility and broker list are what every row is compared with. Each row
     records the misreport outcome and whether the perturbation left the
     broker list's pair order unchanged (the regime where no misreport should
-    ever beat truth-telling).
+    ever beat truth-telling). Every scan stops with BudgetExceeded past the
+    `perf_counter` time `_deadline`.
     """
-    from .optimal import default_bid_grid
-
     q = s.seller(sid).true_value
     market = Market(s)
     rows, shapes = [], []
     for bid in default_bid_grid(q):
-        outcome, broker = _run(s, market.with_bid(sid, bid))
+        outcome, broker = _run(s, market.with_bid(sid, bid), _deadline)
         won = outcome.success and sid in outcome.payments
         payment = outcome.payments[sid] if won else None
         utility = (payment - q) if won else 0.0

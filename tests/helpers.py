@@ -1,4 +1,5 @@
-"""Shared scenario builders and an independent brute-force oracle.
+"""Shared scenario builders, an independent brute-force oracle, and the
+unpruned matching scan as a reference.
 
 make_tiny keeps instances small enough (at most 4 buyers, 8 sellers) for
 exhaustive cross-checking; roughly half the draws use a tight contact
@@ -12,6 +13,8 @@ import math
 import numpy as np
 
 from vcauction import (
+    Assignment,
+    BrokerPrefList,
     GraphJob,
     JobEdge,
     Scenario,
@@ -22,6 +25,7 @@ from vcauction import (
     max_rank_for,
     validate_scenario,
 )
+from vcauction.economics import _edges_ok
 
 _SHAPES = {
     1: ((),),
@@ -113,6 +117,79 @@ def broker_entries(broker) -> list[tuple]:
         (m.buyers[i], m.sellers[k], v)
         for i, k, v in zip(broker.buyer.tolist(), broker.seller.tolist(), broker.value.tolist())
     ]
+
+
+# The matching scan as it was before the Hall prune, kept verbatim as the
+# oracle: the pruned scan must return the same assignment on every input.
+def reference_match(s: Scenario, broker: BrokerPrefList) -> tuple[Assignment | None, tuple[tuple, ...]]:
+    """Scan the broker list built from `s` until every buyer is matched or
+    anchors run out.
+
+    Returns the assignment (None on failure) and a trace of scan events:
+    ("accept"|"skip"|"reject"|"delete"|"restart", index) plus a final
+    ("complete",) or ("fail",). Accepted pairs always sit at increasing list
+    positions, so the most recently accepted pair is the deepest one. A
+    buyer with no entry at all fails the scan at once, with trace
+    (("fail",),). Every entry is C1-feasible, so the scan checks C2 and C4.
+    """
+    total_buyers = len(s.buyers)
+    if total_buyers == 0:
+        return Assignment(()), (("complete",),)
+    eb, es = broker.buyer.tolist(), broker.seller.tolist()
+    if len(set(eb)) < total_buyers:
+        return None, (("fail",),)
+
+    m = broker.market
+    sp_of, edges = m.sp_of.tolist(), m.edge_lists()
+    seller_of = [-1] * total_buyers
+    taken = [False] * len(m.sellers)
+
+    def put(i: int) -> None:
+        seller_of[eb[i]] = es[i]
+        taken[es[i]] = True
+
+    def drop(i: int) -> None:
+        seller_of[eb[i]] = -1
+        taken[es[i]] = False
+
+    L = len(eb)
+    stack: list[int] = [0]
+    put(0)
+    trace: list[tuple] = [("accept", 0)]
+    pos = 1
+
+    while True:
+        idx = pos
+        while idx < L and len(stack) < total_buyers:
+            bi, si = eb[idx], es[idx]
+            if seller_of[bi] >= 0 or taken[si]:
+                trace.append(("skip", idx))
+            elif not _edges_ok(edges, sp_of, seller_of, bi, si):
+                trace.append(("reject", idx))
+            else:
+                stack.append(idx)
+                put(idx)
+                trace.append(("accept", idx))
+            idx += 1
+        if len(stack) == total_buyers:
+            trace.append(("complete",))
+            pairs = [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(seller_of)]
+            return Assignment.from_pairs(pairs), tuple(trace)
+        if len(stack) > 1:
+            dropped = stack.pop()
+            drop(dropped)
+            trace.append(("delete", dropped))
+            pos = dropped + 1
+        else:
+            anchor = stack[0] + 1
+            if anchor >= L:
+                trace.append(("fail",))
+                return None, tuple(trace)
+            drop(stack[0])
+            stack[0] = anchor
+            put(anchor)
+            trace.append(("restart", anchor))
+            pos = anchor + 1
 
 
 def backtrack_scenario() -> Scenario:

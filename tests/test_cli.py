@@ -5,8 +5,10 @@ import time
 
 import pytest
 
-from vcauction import GenConfig, config_to_dict, scenario_loads
+from vcauction import GenConfig, config_to_dict, scenario_dumps, scenario_loads
 from vcauction.cli import main
+
+from helpers import backtrack_scenario
 
 TINY_CFG = GenConfig(job_types=(1,), sp_count=2, vms_per_sp=(1, 2))
 
@@ -119,6 +121,18 @@ def test_verify_budget_exceeded(tmp_path, capsys):
         start = time.perf_counter()
         assert main(["verify", str(path), "--mechanism", "opt", "--budget-secs", budget]) == 0
         assert time.perf_counter() - start < 3.0
+        printed = capsys.readouterr().out
+        assert "budget exceeded" in printed
+        assert "no feasible allocation" not in printed
+
+
+def test_maxuosg_budget_exceeded(tmp_path, capsys):
+    """A matching scan that backtracks past its budget reports it, in both
+    commands, rather than an infeasible scenario."""
+    path = tmp_path / "backtrack.json"
+    path.write_text(scenario_dumps(backtrack_scenario()))
+    for command in ("solve", "verify"):
+        assert main([command, str(path), "--mechanism", "maxuosg", "--budget-secs", "0"]) == 0
         printed = capsys.readouterr().out
         assert "budget exceeded" in printed
         assert "no feasible allocation" not in printed

@@ -26,7 +26,7 @@ from vcauction import (
 )
 import vcauction.harness as harness
 
-from helpers import make_tiny
+from helpers import backtrack_scenario, make_tiny
 from test_optimal import one_sp_scenario
 
 TINY_CFG = GenConfig(job_types=(1,), sp_count=2, vms_per_sp=(1, 2))
@@ -60,6 +60,16 @@ def test_run_mechanism_marks_budget_truncation():
     assert run.truncated
     assert not run.success
     assert run.assignment is None
+
+
+def test_maxuosg_budget_truncates_a_backtracking_scan():
+    """The scan reads the clock at its first restart, past a zero budget."""
+    s = backtrack_scenario()
+    run = run_mechanism(s, "maxuosg", budget_secs=0.0)
+    assert run.truncated and not run.success and run.assignment is None
+    report, rows = verify_report(s, "maxuosg", budget_secs=0.0)
+    assert report["truncated"] and not report["success"] and rows == []
+    assert run_mechanism(s, "maxuosg", budget_secs=60.0).success
 
 
 def test_opt_run_reports_root_and_pivot_nodes():

@@ -16,6 +16,7 @@ from vcauction import (
     ServiceProvider,
     ValuationConfig,
     VirtualMachine,
+    assignment_feasible,
     build_broker_list,
     build_buyer_list,
     generate,
@@ -28,9 +29,10 @@ from vcauction import (
     validate_scenario,
     verify_truthfulness_matching,
 )
+from vcauction.optimal import BudgetExceeded
 import vcauction.matching as matching_module
 
-from helpers import backtrack_scenario, broker_entries, make_tiny
+from helpers import backtrack_scenario, broker_entries, make_tiny, reference_match
 from test_optimal import one_sp_scenario
 
 DELTA = 1e-3
@@ -112,11 +114,13 @@ def test_broker_ties_across_buyers_and_sellers():
 
 def test_backtracking_run_frozen_trace():
     """The cross-provider constraint kills every completion of the top pair,
-    so the scan walks both fallback stages before completing."""
+    so the scan walks both fallback stages before completing. The unpruned
+    walk scans the second anchor's subtree; the prune cuts it at once, since
+    buyer 0's entries past it all sit on the provider the edge cannot span."""
     s = backtrack_scenario()
-    out = run_matching(s)
-    assert out.success
-    assert out.match_trace == (
+    broker = build_broker_list(Market(s))
+    _, unpruned = reference_match(s, broker)
+    assert unpruned == (
         ("accept", 0),
         ("skip", 1),
         ("skip", 2),
@@ -134,6 +138,24 @@ def test_backtracking_run_frozen_trace():
         ("accept", 5),
         ("complete",),
     )
+    out = run_matching(s)
+    assert out.success
+    assert out.match_trace == (
+        ("accept", 0),
+        ("skip", 1),
+        ("skip", 2),
+        ("reject", 3),
+        ("skip", 4),
+        ("reject", 5),
+        ("restart", 1),
+        ("prune", 2),
+        ("restart", 2),
+        ("skip", 3),
+        ("skip", 4),
+        ("accept", 5),
+        ("complete",),
+    )
+    assert out.assignment == reference_match(s, broker)[0]
     assert dict(out.assignment.pairs) == {
         BuyerId(0, 0): SellerId(1, 0, 1),
         BuyerId(0, 1): SellerId(1, 1, 1),
@@ -148,9 +170,80 @@ def test_backtracking_run_frozen_trace():
 
 
 def test_deletion_branch_reachable():
-    out = run_matching(make_tiny(2))
+    out = run_matching(make_tiny(17))
     kinds = [ev[0] for ev in out.match_trace]
     assert "delete" in kinds
+
+
+SPARSE = dataclasses.replace(preset("large"), coverage_density=0.5)
+C2_BINDING = dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3))
+
+
+def _scan_cases():
+    yield from (make_tiny(seed) for seed in range(200))
+    for cfg, seeds in (
+        (preset("small"), range(30)),
+        (preset("large"), range(15)),
+        (C2_BINDING, range(10)),
+        (SPARSE, range(8, 17)),
+    ):
+        yield from (generate(cfg, seed=seed) for seed in seeds)
+
+
+def test_pruned_scan_returns_the_reference_assignment():
+    """The prune cuts only subtrees that hold no completion, so the scan
+    finds the first completion of the unpruned one, or fails with it."""
+    pruned = 0
+    for s in _scan_cases():
+        broker = build_broker_list(Market(s))
+        got, trace = match(s, broker)
+        want, _ = reference_match(s, broker)
+        assert got == want
+        pruned += any(ev[0] == "prune" for ev in trace)
+    assert pruned >= 20
+
+
+def _timed_scan(cfg, seed):
+    s = generate(cfg, seed=seed)
+    start = time.perf_counter()
+    assignment, trace = match(s, build_broker_list(Market(s)))
+    assert time.perf_counter() - start < 1.0
+    return s, assignment, trace
+
+
+def test_pruned_scan_finishes_where_the_unpruned_one_hangs():
+    """The unpruned scan runs past 3 s on these half-coverage `large` seeds."""
+    for seed in (3, 5, 6):
+        s, assignment, trace = _timed_scan(SPARSE, seed)
+        assert trace[-1] == ("complete",)
+        assert assignment_feasible(s, assignment, require_complete=True)
+    _, assignment, trace = _timed_scan(SPARSE, 28)
+    assert assignment is None and trace[-1] == ("fail",)
+
+
+def test_root_test_fails_buyers_that_cannot_share_the_sellers():
+    """36 buyers on 24-27 sellers: no seller per buyer exists even without
+    C2, which the test at the first dead end proves at once; the unpruned
+    scan ran past 5M steps."""
+    cfg = dataclasses.replace(preset("small"), job_types=(1, 2, 3, 4) * 2)
+    for seed in (0, 1):
+        s, assignment, trace = _timed_scan(cfg, seed)
+        assert len(s.buyers) > len(s.sellers)
+        assert assignment is None
+        assert trace[-2:] == (("prune", 0), ("fail",))
+        assert not any(ev[0] in ("delete", "restart") for ev in trace)
+
+
+def test_scan_budget_stops_at_a_backtrack():
+    s = backtrack_scenario()
+    broker = build_broker_list(Market(s))
+    with pytest.raises(BudgetExceeded):
+        match(s, broker, _deadline=time.perf_counter() - 1.0)
+    # A scan that never backtracks never reads the clock.
+    out = run_matching(payment_example_scenario(), _deadline=time.perf_counter() - 1.0)
+    assert out.success
+    with pytest.raises(BudgetExceeded):
+        verify_truthfulness_matching(s, SellerId(1, 0, 1), _deadline=time.perf_counter() - 1.0)
 
 
 def test_uncoverable_buyer_fails():
