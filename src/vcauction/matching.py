@@ -7,7 +7,12 @@ list, scans it top-down, and accepts each pair that keeps the partial
 assignment feasible. Dead ends backtrack: with several pairs matched the
 most recent acceptance is dropped and the scan resumes just past it; with a
 single pair matched the anchor advances one list position and the scan
-restarts there. A winner pays its buyer's value for it minus the value of
+restarts there. From the first dead end on, a state whose open buyers can
+no longer get distinct free sellers from the entries left to them holds no
+completion: the scan records a "prune" event and backtracks from it at
+once, so it returns what the unpruned walk returns. Backtracking reads the
+clock against the run's deadline, and a scan past it raises
+`BudgetExceeded`. A winner pays its buyer's value for it minus the value of
 the entry immediately behind it in that buyer's list, so payment always
 covers the bid.
 

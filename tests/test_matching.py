@@ -204,9 +204,10 @@ def test_pruned_scan_returns_the_reference_assignment():
 
 
 def _timed_scan(cfg, seed):
+    """The scan on `cfg` at `seed`, stopped by its budget after 1 s."""
     s = generate(cfg, seed=seed)
     start = time.perf_counter()
-    assignment, trace = match(s, build_broker_list(Market(s)))
+    assignment, trace = match(s, build_broker_list(Market(s)), _deadline=start + 1.0)
     assert time.perf_counter() - start < 1.0
     return s, assignment, trace
 
