@@ -107,9 +107,9 @@ def run_mechanism(
         if outcome is not None:
             detail["trace_events"] = len(outcome.match_trace)
             detail["match_trace"] = outcome.match_trace
-        if outcome is not None and outcome.success:
-            assignment = outcome.assignment
-            payments = outcome.payments
+            if outcome.success:
+                assignment = outcome.assignment
+                payments = outcome.payments
     else:
         assignment = run_baseline(s, name, seed=seed)
 
