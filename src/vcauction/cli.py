@@ -20,6 +20,7 @@ from pathlib import Path
 from .model import scenario_dumps, scenario_loads, validate_scenario
 from .generator import GenConfig, PRESET_NAMES, config_from_dict, generate, preset, validate_config
 from .harness import (
+    DEFAULT_BUDGET_SECS,
     MECHANISMS,
     bench_sweep,
     experiment,
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", choices=MECHANISMS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write result JSON here")
-    p.add_argument("--budget-secs", type=float, default=300.0)
+    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("experiment", help="batch mechanism comparison")
@@ -199,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="summary JSON path (CSV written beside it)")
-    p.add_argument("--budget-secs", type=float, default=300.0)
+    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("verify", help="audit rationality and bid sweeps")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--mechanism", choices=("opt", "maxuosg"), default="maxuosg")
     p.add_argument("--out", help="report JSON path (CSV written beside it)")
-    p.add_argument("--budget-secs", type=float, default=300.0)
+    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="runtime scaling table")
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sp-range", default="1:5", help="provider counts LO:HI inclusive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="rows JSON path (CSV written beside it)")
-    p.add_argument("--budget-secs", type=float, default=300.0)
+    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -37,6 +37,7 @@ from .baselines import BASELINE_KINDS, run_baseline
 from .generator import GenConfig, config_to_dict, generate, preset
 
 __all__ = [
+    "DEFAULT_BUDGET_SECS",
     "MECHANISMS",
     "MechanismRun",
     "scenario_digest",
@@ -53,6 +54,9 @@ MECHANISMS = ("opt", "maxuosg") + BASELINE_KINDS
 
 # Above this many buyers the exact solver is skipped in batch experiments.
 OPT_BUYER_CUTOFF = 10
+
+# Wall-clock seconds a run gets unless its caller says otherwise.
+DEFAULT_BUDGET_SECS = 300.0
 
 
 @dataclass
@@ -71,47 +75,47 @@ def scenario_digest(s: Scenario) -> str:
     return hashlib.sha256(scenario_dumps(s).encode()).hexdigest()[:16]
 
 
+def _deadline_after(budget_secs: float | None) -> float | None:
+    """The `perf_counter` time `budget_secs` from now; None means no limit."""
+    return None if budget_secs is None else time.perf_counter() + budget_secs
+
+
 def run_mechanism(
     s: Scenario,
     name: str,
     seed: int = 0,
-    budget_secs: float | None = None,
+    budget_secs: float | None = DEFAULT_BUDGET_SECS,
 ) -> MechanismRun:
-    """Dispatch one mechanism and re-validate whatever it produced."""
+    """Dispatch one mechanism and re-validate whatever it produced. A run
+    past its budget reports `truncated` and no allocation."""
     if name not in MECHANISMS:
         raise ValueError(f"unknown mechanism {name!r}, expected one of {MECHANISMS}")
     t0 = time.perf_counter()
+    deadline = _deadline_after(budget_secs)
     assignment: Assignment | None = None
     payments: dict[SellerId, float] | None = None
     truncated = False
     detail: dict = {}
 
-    if name == "opt":
-        try:
-            outcome = run_optimal_mechanism(s, budget_secs=budget_secs)
-        except BudgetExceeded:
-            outcome = None
-            truncated = True
-        if outcome is not None:
-            assignment = outcome.assignment
-            payments = outcome.payments
-            detail["explored_nodes"] = outcome.explored_nodes
-            detail["pivot_nodes"] = outcome.pivot_nodes
-    elif name == "maxuosg":
-        deadline = t0 + budget_secs if budget_secs is not None else None
-        try:
-            outcome = run_matching(s, _deadline=deadline)
-        except BudgetExceeded:
-            outcome = None
-            truncated = True
-        if outcome is not None:
+    try:
+        if name == "opt":
+            outcome = run_optimal_mechanism(s, deadline=deadline)
+            if outcome is not None:
+                assignment = outcome.assignment
+                payments = outcome.payments
+                detail["explored_nodes"] = outcome.explored_nodes
+                detail["pivot_nodes"] = outcome.pivot_nodes
+        elif name == "maxuosg":
+            outcome = run_matching(s, deadline=deadline)
             detail["trace_events"] = len(outcome.match_trace)
             detail["match_trace"] = outcome.match_trace
             if outcome.success:
                 assignment = outcome.assignment
                 payments = outcome.payments
-    else:
-        assignment = run_baseline(s, name, seed=seed)
+        else:
+            assignment = run_baseline(s, name, seed=seed)
+    except BudgetExceeded:
+        truncated = True
 
     runtime = time.perf_counter() - t0
     if assignment is not None and not assignment_feasible(s, assignment, require_complete=True):
@@ -202,7 +206,7 @@ def experiment(
     cfg: GenConfig,
     trials: int,
     base_seed: int = 0,
-    budget_secs: float | None = 300.0,
+    budget_secs: float | None = DEFAULT_BUDGET_SECS,
     include_opt: bool | None = None,
     preset_name: str | None = None,
 ) -> tuple[dict, list[dict]]:
@@ -299,7 +303,7 @@ def serialize_buyer_lists(lists: dict[BuyerId, BuyerPrefList]) -> list[dict]:
 def verify_report(
     s: Scenario,
     mechanism: str = "maxuosg",
-    budget_secs: float | None = 300.0,
+    budget_secs: float | None = DEFAULT_BUDGET_SECS,
 ) -> tuple[dict, list[dict]]:
     """Run one mechanism, audit rationality, and sweep every winner's bid.
 
@@ -310,7 +314,7 @@ def verify_report(
     """
     if mechanism not in ("opt", "maxuosg"):
         raise ValueError("verify supports mechanisms 'opt' and 'maxuosg'")
-    deadline = time.perf_counter() + budget_secs if budget_secs is not None else None
+    deadline = _deadline_after(budget_secs)
     run = run_mechanism(s, mechanism, budget_secs=budget_secs)
     report: dict = {
         "mechanism": mechanism,
@@ -354,7 +358,7 @@ def verify_report(
     sweep_of = verify_truthfulness_opt if mechanism == "opt" else verify_truthfulness_matching
     for sid in sorted(run.payments):
         try:
-            sweep = sweep_of(s, sid, _deadline=deadline)
+            sweep = sweep_of(s, sid, deadline=deadline)
         except BudgetExceeded:
             report["truncated"] = True
             break
@@ -389,7 +393,7 @@ def bench_sweep(
     job_type: int,
     sp_counts: list[int],
     base_seed: int = 0,
-    budget_secs: float | None = 300.0,
+    budget_secs: float | None = DEFAULT_BUDGET_SECS,
 ) -> list[dict]:
     """Runtime table across provider counts for one job type.
 
@@ -417,7 +421,7 @@ def bench_sweep(
         enum_completed = True
         enum_maps: int | str = ""
         try:
-            enum_res = solve_naive(s, budget_secs=budget_secs)
+            enum_res = solve_naive(s, deadline=_deadline_after(budget_secs))
             enum_maps = enum_res.explored
         except BudgetExceeded:
             enum_completed = False
@@ -426,7 +430,7 @@ def bench_sweep(
         t0 = time.perf_counter()
         bnb_completed = True
         try:
-            solve_optimal(s, budget_secs=budget_secs)
+            solve_optimal(s, deadline=_deadline_after(budget_secs))
         except BudgetExceeded:
             bnb_completed = False
         bnb_runtime = time.perf_counter() - t0

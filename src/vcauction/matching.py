@@ -133,7 +133,7 @@ def build_broker_list(market: Market) -> BrokerPrefList:
 
 
 def match(
-    s: Scenario, broker: BrokerPrefList, *, _deadline: float | None = None
+    s: Scenario, broker: BrokerPrefList, *, deadline: float | None = None
 ) -> tuple[Assignment | None, tuple[tuple, ...]]:
     """Scan the broker list built from `s` until every buyer is matched or
     anchors run out.
@@ -152,7 +152,7 @@ def match(
     end, so the first completion found is the unpruned scan's. If the
     buyers cannot get distinct sellers from their whole lists, the scan
     fails there. Deletes and restarts raise BudgetExceeded past the
-    `perf_counter` time `_deadline`.
+    `perf_counter` time `deadline`.
     """
     total_buyers = len(s.buyers)
     if total_buyers == 0:
@@ -229,7 +229,7 @@ def match(
                 return None, tuple(trace)
         # Backtrack until a state passes the prune test.
         while True:
-            if _deadline is not None and time.perf_counter() > _deadline:
+            if deadline is not None and time.perf_counter() > deadline:
                 raise BudgetExceeded(f"matching scan stopped after {len(trace)} events")
             if len(stack) > 1:
                 dropped = stack.pop()
@@ -269,19 +269,19 @@ def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: Sel
     return m.gross[bi, si].item() - values[sellers.index(si) + 1]
 
 
-def run_matching(s: Scenario, *, _deadline: float | None = None) -> MatchingOutcome:
+def run_matching(s: Scenario, *, deadline: float | None = None) -> MatchingOutcome:
     """Full pipeline: build the broker list, match, price winners. The scan
-    raises BudgetExceeded past the `perf_counter` time `_deadline`."""
-    return _run(s, Market(s), _deadline)[0]
+    raises BudgetExceeded past the `perf_counter` time `deadline`."""
+    return _run(s, Market(s), deadline)[0]
 
 
 def _run(
-    s: Scenario, market: Market, deadline: float | None = None
+    s: Scenario, market: Market, deadline: float | None
 ) -> tuple[MatchingOutcome, BrokerPrefList]:
     """run_matching on `s` compiled into `market`, which may carry a bid that
     `s` does not; also returns the broker list."""
     broker = build_broker_list(market)
-    assignment, trace = match(s, broker, _deadline=deadline)
+    assignment, trace = match(s, broker, deadline=deadline)
     if assignment is None:
         return MatchingOutcome(None, 0.0, {}, trace), broker
     payments = {sid: matching_payment(broker, assignment, sid) for _, sid in assignment.pairs}
@@ -300,7 +300,7 @@ def _classify(utility: float, truthful_utility: float, won: bool) -> str:
     return "no-gain"
 
 
-def verify_truthfulness_matching(s: Scenario, sid: SellerId, _deadline: float | None = None) -> dict:
+def verify_truthfulness_matching(s: Scenario, sid: SellerId, *, deadline: float | None = None) -> dict:
     """Sweep one seller's bid over `default_bid_grid(q)` through the full
     matching pipeline.
 
@@ -309,13 +309,13 @@ def verify_truthfulness_matching(s: Scenario, sid: SellerId, _deadline: float | 
     records the misreport outcome and whether the perturbation left the
     broker list's pair order unchanged (the regime where no misreport should
     ever beat truth-telling). Every scan stops with BudgetExceeded past the
-    `perf_counter` time `_deadline`.
+    `perf_counter` time `deadline`.
     """
     q = s.seller(sid).true_value
     market = Market(s)
     rows, shapes = [], []
     for bid in default_bid_grid(q):
-        outcome, broker = _run(s, market.with_bid(sid, bid), _deadline)
+        outcome, broker = _run(s, market.with_bid(sid, bid), deadline)
         won = outcome.success and sid in outcome.payments
         payment = outcome.payments[sid] if won else None
         utility = (payment - q) if won else 0.0

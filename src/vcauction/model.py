@@ -148,16 +148,13 @@ class Assignment:
     def buyer_to_seller(self) -> dict[BuyerId, SellerId]:
         return {b: s for b, s in self.pairs}
 
-    def seller_to_buyer(self) -> dict[SellerId, BuyerId]:
-        return {s: b for b, s in self.pairs}
-
     def buyer_of(self, sid: SellerId) -> BuyerId | None:
         """The buyer matched to `sid`, from a map built on the first call."""
         return self._by_seller.get(sid)
 
     @cached_property
     def _by_seller(self) -> dict[SellerId, BuyerId]:
-        return self.seller_to_buyer()
+        return {s: b for b, s in self.pairs}
 
     def is_one_to_one(self) -> bool:
         buyers = [b for b, _ in self.pairs]

@@ -73,15 +73,16 @@ def _pair_list(m: Market, assigned: list[int]) -> tuple:
 def solve_naive(
     s: Scenario,
     excluded: frozenset[SellerId] = frozenset(),
-    budget_secs: float | None = None,
+    *,
+    deadline: float | None = None,
 ) -> SolveResult:
     """Literal enumeration: every buyer ordering against every seller subset.
 
     Examines exactly b! * C(s, b) candidates; intended as the ground-truth
     oracle on tiny instances and as the runtime yardstick the pruned solver
-    is benchmarked against.
+    is benchmarked against. Raises BudgetExceeded past the `perf_counter`
+    time `deadline`.
     """
-    deadline = time.perf_counter() + budget_secs if budget_secs is not None else None
     m = Market(s, excluded)
     nb, ns = len(m.buyers), len(m.sellers)
     uos, feasible, sp_of = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist()
@@ -124,11 +125,10 @@ def solve_naive(
 def solve_optimal(
     s: Scenario,
     excluded: frozenset[SellerId] = frozenset(),
-    budget_secs: float | None = None,
     *,
     market: Market | None = None,
     incumbent: Assignment | None = None,
-    _deadline: float | None = None,
+    deadline: float | None = None,
 ) -> SolveResult:
     """Branch-and-bound equivalent of solve_naive.
 
@@ -136,13 +136,9 @@ def solve_optimal(
     `without`/`with_bid` variant of it; the search then reads the market
     alone. `incumbent` is a known assignment to start from: its pairs on
     sellers outside the market are re-placed greedily, and it primes the
-    bound only if that leaves it complete and feasible.
+    bound only if that leaves it complete and feasible. The search raises
+    BudgetExceeded past the `perf_counter` time `deadline`.
     """
-    deadline = _deadline
-    if budget_secs is not None:
-        d = time.perf_counter() + budget_secs
-        deadline = d if deadline is None else min(deadline, d)
-
     m = market if market is not None else Market(s, excluded)
     nb, ns = len(m.buyers), len(m.sellers)
     if nb == 0:
@@ -206,16 +202,11 @@ def solve_optimal(
 
     assigned = [-1] * nb
     nodes = 0
-    tick = 0
 
     def dfs(pos: int, used: int, total: float) -> None:
-        nonlocal nodes, tick
-        if deadline is not None:
-            tick += 1
-            if tick >= 2048:
-                tick = 0
-                if time.perf_counter() > deadline:
-                    raise BudgetExceeded("optimal solve exceeded its budget")
+        nonlocal nodes
+        if deadline is not None and nodes % 2048 == 0 and time.perf_counter() > deadline:
+            raise BudgetExceeded("optimal solve exceeded its budget")
         if pos == nb:
             consider(assigned, total)
             return
@@ -262,7 +253,7 @@ def _pivot(
     the nodes its re-solve explored. The re-solve starts from K* with the
     winner's buyer moved to its best free seller."""
     without = solve_optimal(
-        s, excluded=frozenset({sid}), market=m.without(sid), incumbent=k_star, _deadline=deadline
+        s, excluded=frozenset({sid}), market=m.without(sid), incumbent=k_star, deadline=deadline
     )
     f_wo = without.objective_value if without.assignment is not None else 0.0
     return f_star - f_wo + s.seller(sid).bid, without.explored
@@ -273,33 +264,34 @@ def vcg_payment(
     k_star: Assignment,
     f_star: float,
     sid: SellerId,
-    _deadline: float | None = None,
+    *,
+    deadline: float | None = None,
 ) -> float:
     """Pivot payment for one winner: bid + F(K*) - F_without.
 
     F_without is the complete-assignment optimum with the seller removed, or
     0 when no complete assignment survives the removal.
     """
-    if sid not in k_star.seller_to_buyer():
+    if k_star.buyer_of(sid) is None:
         raise ValueError(f"{sid.label()} is not a winner")
-    return _pivot(s, Market(s), k_star, f_star, sid, _deadline)[0]
+    return _pivot(s, Market(s), k_star, f_star, sid, deadline)[0]
 
 
-def run_optimal_mechanism(s: Scenario, budget_secs: float | None = None) -> OptOutcome | None:
+def run_optimal_mechanism(s: Scenario, *, deadline: float | None = None) -> OptOutcome | None:
     """Winner determination plus a pivot payment per winner.
 
-    Returns None when no complete feasible assignment exists. The budget, if
-    given, covers the main solve and all payment re-solves together. The
-    scenario is compiled once; each re-solve drops one column of it.
+    Returns None when no complete feasible assignment exists. The
+    `perf_counter` time `deadline`, if given, bounds the main solve and all
+    payment re-solves together. The scenario is compiled once; each
+    re-solve drops one column of it.
     """
-    deadline = time.perf_counter() + budget_secs if budget_secs is not None else None
     m = Market(s)
-    res = solve_optimal(s, market=m, _deadline=deadline)
+    res = solve_optimal(s, market=m, deadline=deadline)
     if res.assignment is None:
         return None
     payments: dict[SellerId, float] = {}
     pivot_nodes = 0
-    for sid in res.assignment.seller_to_buyer():
+    for _, sid in res.assignment.pairs:
         payments[sid], nodes = _pivot(s, m, res.assignment, res.objective_value, sid, deadline)
         pivot_nodes += nodes
     return OptOutcome(res.assignment, res.objective_value, payments, res.explored, pivot_nodes)
@@ -312,7 +304,7 @@ def default_bid_grid(true_value: float) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-def verify_truthfulness_opt(s: Scenario, sid: SellerId, _deadline: float | None = None) -> dict:
+def verify_truthfulness_opt(s: Scenario, sid: SellerId, *, deadline: float | None = None) -> dict:
     """Sweep one seller's reported bid over `default_bid_grid(q)` and compare
     utilities against the truthful q row.
 
@@ -320,20 +312,20 @@ def verify_truthfulness_opt(s: Scenario, sid: SellerId, _deadline: float | None 
     term F_without never involves the swept seller's bid, so it is computed
     once. The scenario is compiled once; each grid point re-prices one column.
     The report flags any bid whose utility beats the truthful one. Every
-    solve stops with BudgetExceeded past the `perf_counter` time `_deadline`.
+    solve stops with BudgetExceeded past the `perf_counter` time `deadline`.
     """
     q = s.seller(sid).true_value
     m = Market(s)
     without = solve_optimal(
-        s, excluded=frozenset({sid}), market=m.without(sid), _deadline=_deadline
+        s, excluded=frozenset({sid}), market=m.without(sid), deadline=deadline
     )
     f_wo = without.objective_value if without.assignment is not None else 0.0
 
     rows = []
     truthful_utility = 0.0
     for bid in default_bid_grid(q):
-        res = solve_optimal(s, market=m.with_bid(sid, bid), _deadline=_deadline)
-        won = res.assignment is not None and sid in res.assignment.seller_to_buyer()
+        res = solve_optimal(s, market=m.with_bid(sid, bid), deadline=deadline)
+        won = res.assignment is not None and res.assignment.buyer_of(sid) is not None
         if won:
             payment = res.objective_value - f_wo + bid
             utility = payment - q

@@ -1,4 +1,5 @@
 """Experiment-plumbing tests."""
+import dataclasses
 import json
 import time
 
@@ -70,6 +71,13 @@ def test_maxuosg_budget_truncates_a_backtracking_scan():
     report, rows = verify_report(s, "maxuosg", budget_secs=0.0)
     assert report["truncated"] and not report["success"] and rows == []
     assert run_mechanism(s, "maxuosg", budget_secs=60.0).success
+    # C2 binds on this seed, and the prune does not check it for open
+    # buyers: the scan is still running after 5 s.
+    s = generate(dataclasses.replace(preset("large"), lambda_range=(0.2, 0.3)), seed=0)
+    start = time.perf_counter()
+    run = run_mechanism(s, "maxuosg", budget_secs=0.5)
+    assert time.perf_counter() - start < 2.0
+    assert run.truncated and not run.success and run.assignment is None
 
 
 def test_opt_run_reports_root_and_pivot_nodes():

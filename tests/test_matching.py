@@ -207,7 +207,7 @@ def _timed_scan(cfg, seed):
     """The scan on `cfg` at `seed`, stopped by its budget after 1 s."""
     s = generate(cfg, seed=seed)
     start = time.perf_counter()
-    assignment, trace = match(s, build_broker_list(Market(s)), _deadline=start + 1.0)
+    assignment, trace = match(s, build_broker_list(Market(s)), deadline=start + 1.0)
     assert time.perf_counter() - start < 1.0
     return s, assignment, trace
 
@@ -239,12 +239,12 @@ def test_scan_budget_stops_at_a_backtrack():
     s = backtrack_scenario()
     broker = build_broker_list(Market(s))
     with pytest.raises(BudgetExceeded):
-        match(s, broker, _deadline=time.perf_counter() - 1.0)
+        match(s, broker, deadline=time.perf_counter() - 1.0)
     # A scan that never backtracks never reads the clock.
-    out = run_matching(payment_example_scenario(), _deadline=time.perf_counter() - 1.0)
+    out = run_matching(payment_example_scenario(), deadline=time.perf_counter() - 1.0)
     assert out.success
     with pytest.raises(BudgetExceeded):
-        verify_truthfulness_matching(s, SellerId(1, 0, 1), _deadline=time.perf_counter() - 1.0)
+        verify_truthfulness_matching(s, SellerId(1, 0, 1), deadline=time.perf_counter() - 1.0)
 
 
 def test_uncoverable_buyer_fails():
@@ -389,7 +389,7 @@ def test_sweep_gains_need_reordering_or_virtual_pricing():
                 assert row["bid"] > s.seller(sid).true_value
                 s2 = s.with_seller_bid(sid, row["bid"])
                 out2 = run_matching(s2)
-                buyer = out2.assignment.seller_to_buyer()[sid]
+                buyer = out2.assignment.buyer_of(sid)
                 lst = build_buyer_list(s2, buyer)
                 assert lst.real_entries()[-1].seller == sid
     assert checked_rows >= 200

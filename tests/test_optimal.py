@@ -1,6 +1,7 @@
 """Exact-solver tests: brute-force oracles, pivot payments, bid sweeps."""
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -299,7 +300,7 @@ def test_vcg_payment_rejects_non_winner():
     s = one_sp_scenario(times=(0.7,), alpha=3.0, bases=(0.25,))
     res = solve_optimal(s)
     loser = SellerId(0, 0, 2)
-    assert loser not in res.assignment.seller_to_buyer()
+    assert res.assignment.buyer_of(loser) is None
     with pytest.raises(ValueError):
         vcg_payment(s, res.assignment, res.objective_value, loser)
 
@@ -340,9 +341,9 @@ def test_truthful_bid_dominates_on_worked_example():
 def test_budget_exhaustion_raises():
     s = generate(preset("small"), seed=0)
     with pytest.raises(BudgetExceeded):
-        solve_optimal(s, budget_secs=1e-6)
+        solve_optimal(s, deadline=time.perf_counter() + 1e-6)
     with pytest.raises(BudgetExceeded):
-        solve_naive(s, budget_secs=1e-6)
+        solve_naive(s, deadline=time.perf_counter() + 1e-6)
 
 
 def test_solver_is_deterministic():
