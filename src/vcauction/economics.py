@@ -211,24 +211,26 @@ def _edges_ok(edges: list, sp_of: list[int], assigned: list[int], bi: int, si: i
     return True
 
 
-def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:
+def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> tuple:
     """Largest total weight of a matching that gives every row its own column.
 
     `rows[r]` lists row r's allowed cells as `(column, weight)`; any other
-    cell is forbidden. Returns -inf when no matching covers every row.
+    cell is forbidden. Returns the value (-inf if no matching covers every
+    row), each row's column, and column duals v >= 0, zero off the matching,
+    with u_r + v_j >= w_rj on every allowed cell for u_r = w_r,col[r] - v_col[r].
 
     Shortest augmenting paths (Kuhn 1955; Jonker & Volgenant 1987): each row
-    is inserted by a Dijkstra search over reduced costs, cost being -weight,
-    and the row and column potentials keep every reduced cost non-negative.
+    is inserted by a Dijkstra search over reduced costs u_r + v_j - w_rj,
+    which the row potentials u and the column duals keep non-negative.
     """
     row_pot = [0.0] * len(rows)
-    col_pot = [0.0] * n_cols
+    v = [0.0] * n_cols
     row_of = [-1] * n_cols
     col_of = [-1] * len(rows)
     for start, cells in enumerate(rows):
         if not cells:
-            return -math.inf
-        row_pot[start] = max(col_pot[j] + w for j, w in cells)
+            return -math.inf, col_of, v
+        row_pot[start] = max(w - v[j] for j, w in cells)
         dist = [math.inf] * n_cols
         pred = [-1] * n_cols
         done = [False] * n_cols
@@ -239,7 +241,7 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:
         while True:
             base = d_r + row_pot[r]
             for j, w in cells:
-                nd = base - w - col_pot[j]
+                nd = base - w + v[j]
                 # A scanned column is final; rounding must not re-route it.
                 if nd < dist[j] and not done[j]:
                     if pred[j] < 0:
@@ -251,7 +253,7 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:
                 if dist[k] < d_j or (dist[k] == d_j and k < j):
                     j, d_j = k, dist[k]
             if j < 0:
-                return -math.inf
+                return -math.inf, col_of, v
             if row_of[j] < 0:
                 free = j
                 break
@@ -264,10 +266,10 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> float:
         d_free = dist[free]
         row_pot[start] -= d_free
         for j in scanned:
-            col_pot[j] -= d_free - dist[j]
+            v[j] += d_free - dist[j]
             row_pot[row_of[j]] -= d_free - dist[j]
         j = free
         while j >= 0:
             r = pred[j]
             row_of[j], col_of[r], j = r, j, col_of[r]
-    return sum(w for r, cells in enumerate(rows) for j, w in cells if j == col_of[r])
+    return sum(w for r, cells in enumerate(rows) for j, w in cells if j == col_of[r]), col_of, v

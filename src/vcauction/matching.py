@@ -191,7 +191,7 @@ def match(
                 if not cells:
                     return False
                 rows.append(cells)
-        return _max_assignment(rows, n_sellers) > -math.inf
+        return _max_assignment(rows, n_sellers)[0] > -math.inf
 
     L = len(eb)
     stack: list[int] = [0]
@@ -224,7 +224,7 @@ def match(
             for i, bi in enumerate(eb):
                 positions[bi].append(i)
             whole = [[(es[i], 0.0) for i in own] for own in positions]
-            if _max_assignment(whole, n_sellers) == -math.inf:
+            if _max_assignment(whole, n_sellers)[0] == -math.inf:
                 trace += [("prune", 0), ("fail",)]
                 return None, tuple(trace)
         # Backtrack until a state passes the prune test.

@@ -3,10 +3,10 @@
 Two interchangeable solvers maximize total UoS over complete feasible
 assignments: solve_naive literally enumerates every buyer permutation against
 every same-size seller subset (the reference oracle, factorial cost), while
-solve_optimal runs a depth-first search with an admissible upper bound and
-returns the identical optimum. Ties on objective value are broken toward the
-lexicographically smallest pair list, so both solvers agree exactly. Both
-search complete assignments only (C3): there is no partial mode.
+solve_optimal runs a depth-first search bounded by the duals of one assignment
+solve and returns the identical optimum. Ties on objective value are broken
+toward the lexicographically smallest pair list, so both solvers agree exactly.
+Both search complete assignments only (C3): there is no partial mode.
 
 Payments follow the pivot rule: a winner receives its bid plus the welfare it
 adds, F(K*) - F_without, where F_without re-solves the scenario with that
@@ -138,11 +138,13 @@ def solve_optimal(
     sellers outside the market are re-placed greedily, and it primes the
     bound only if that leaves it complete and feasible. The search raises
     BudgetExceeded past the `perf_counter` time `deadline`.
+
+    One assignment solve over C1 (C2 dropped) opens the search: it proves
+    infeasibility with no node visited, its matching is one more start, and
+    its column duals give every node a reduced-cost bound.
     """
     m = market if market is not None else Market(s, excluded)
     nb, ns = len(m.buyers), len(m.sellers)
-    if nb == 0:
-        return SolveResult(Assignment(()), 0.0, 0)
     uos, feasible, sp_of = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist()
     edges = m.edge_lists()
     # Candidates by descending value; most constrained buyer first.
@@ -150,8 +152,6 @@ def solve_optimal(
         sorted((si for si in range(ns) if feasible[bi][si]), key=lambda si: (-uos[bi][si], si))
         for bi in range(nb)
     ]
-    if not all(candidates):
-        return SolveResult(None, 0.0, 0)
     order = sorted(range(nb), key=lambda bi: (len(candidates[bi]), bi))
 
     best_value = -math.inf
@@ -199,6 +199,17 @@ def solve_optimal(
         for b, sid in incumbent.pairs:
             start[m.buyer_index[b]] = m.seller_index.get(sid, -1)
         complete(start)
+    # The root assignment: C1 alone, so its value bounds every assignment.
+    whole = [[(si, uos[bi][si]) for si in candidates[bi]] for bi in range(nb)]
+    root_value, root_cols, v = _max_assignment(whole, ns)
+    if root_value == -math.inf:
+        return SolveResult(None, 0.0, 0)
+    complete(root_cols)
+    heavy = sorted(((v[si], 1 << si) for si in range(ns) if v[si] > 0.0), reverse=True)
+    reduced = [
+        sorted(((uos[bi][si] - v[si], 1 << si) for si in candidates[bi]), reverse=True)
+        for bi in range(nb)
+    ]
 
     assigned = [-1] * nb
     nodes = 0
@@ -210,23 +221,29 @@ def solve_optimal(
         if pos == nb:
             consider(assigned, total)
             return
-        # Free-seller bound: each open buyer takes its best free seller.
-        bound = total
+        # Reduced-cost bound, admissible by weak duality (v >= 0 and
+        # u_i + v_j >= w_ij): a completion is worth at most each open buyer's
+        # best w - v over free sellers plus the largest free v, one per buyer.
+        bound, left = total, nb - pos
+        for vj, bit in heavy:
+            if left and not used & bit:
+                bound, left = bound + vj, left - 1
         for later in order[pos:]:
-            for si in candidates[later]:
-                if not (used >> si) & 1:
-                    bound += uos[later][si]
+            for r, bit in reduced[later]:
+                if not used & bit:
+                    bound += r
                     break
             else:
                 return
         if bound < best_value - TOLERANCE:
             return
-        if pos <= ASSIGNMENT_BOUND_DEPTH:
+        # At the root this bound is root_value, which no incumbent beats.
+        if 0 < pos <= ASSIGNMENT_BOUND_DEPTH:
             rows = [
                 [(si, uos[later][si]) for si in candidates[later] if not (used >> si) & 1]
                 for later in order[pos:]
             ]
-            if total + _max_assignment(rows, ns) < best_value - TOLERANCE:
+            if total + _max_assignment(rows, ns)[0] < best_value - TOLERANCE:
                 return
         bi = order[pos]
         for si in candidates[bi]:

@@ -1,11 +1,19 @@
 """End-to-end command line tests, driven through main(argv)."""
 import csv
+import dataclasses
 import json
 import time
 
 import pytest
 
-from vcauction import GenConfig, config_to_dict, scenario_dumps, scenario_loads
+from vcauction import (
+    GenConfig,
+    config_to_dict,
+    generate,
+    preset,
+    scenario_dumps,
+    scenario_loads,
+)
 from vcauction.cli import main
 
 from helpers import backtrack_scenario
@@ -114,9 +122,12 @@ def test_verify_infeasible_is_not_a_violation(tmp_path, tiny_config_file, capsys
 
 
 def test_verify_budget_exceeded(tmp_path, capsys):
-    """A budget that runs out in the auction or in the sweeps says so."""
-    path = tmp_path / "small.json"
-    assert main(["generate", "--preset", "small", "--seed", "0", "--out", str(path)]) == 0
+    """A budget that runs out in the auction or in the sweeps says so. The
+    input is C2-binding `small` seed 2, whose unbudgeted audit takes about
+    3.5 s."""
+    path = tmp_path / "c2.json"
+    cfg = dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3))
+    path.write_text(scenario_dumps(generate(cfg, seed=2)))
     for budget in ("1", "0.01"):
         start = time.perf_counter()
         assert main(["verify", str(path), "--mechanism", "opt", "--budget-secs", budget]) == 0

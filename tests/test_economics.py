@@ -288,7 +288,7 @@ def test_max_assignment_equals_scipy(n_rows, extra_cols, density, rnd):
     ]
     ok = [[rnd.random() < density for _ in range(n_cols)] for _ in range(n_rows)]
     rows = [[(j, w[r][j]) for j in range(n_cols) if ok[r][j]] for r in range(n_rows)]
-    got = _max_assignment(rows, n_cols)
+    got = _max_assignment(rows, n_cols)[0]
     cost = np.array(
         [[-w[r][j] if ok[r][j] else np.inf for j in range(n_cols)] for r in range(n_rows)]
     ).reshape(n_rows, n_cols)
@@ -300,9 +300,45 @@ def test_max_assignment_equals_scipy(n_rows, extra_cols, density, rnd):
     assert got == pytest.approx(-cost[r_idx, c_idx].sum(), abs=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n_rows=st.integers(0, 6),
+    extra_cols=st.integers(0, 3),
+    density=st.floats(0.2, 1.0),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_max_assignment_certificate(n_rows, extra_cols, density, rnd):
+    """The matching and column duals returned with the value prove it
+    optimal: the matching is one-to-one on allowed cells and sums to the
+    value, v >= 0 and is 0 on unmatched columns, and with each row's dual
+    read off its matched cell, u + v covers every allowed weight and sums to
+    the value (LP duality for the assignment problem)."""
+    n_cols = n_rows + extra_cols
+    w = [
+        [rnd.choice((float(rnd.randint(-3, 3)), rnd.uniform(-10.0, 10.0))) for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+    ok = [[rnd.random() < density for _ in range(n_cols)] for _ in range(n_rows)]
+    rows = [[(j, w[r][j]) for j in range(n_cols) if ok[r][j]] for r in range(n_rows)]
+    value, cols, v = _max_assignment(rows, n_cols)
+    if value == -math.inf:
+        return
+    assert len(cols) == n_rows and len(set(cols)) == n_rows
+    assert all(ok[r][j] for r, j in enumerate(cols))
+    assert sum(w[r][j] for r, j in enumerate(cols)) == pytest.approx(value, abs=1e-9)
+    assert len(v) == n_cols and min(v, default=0.0) >= 0.0
+    assert all(v[j] == 0.0 for j in set(range(n_cols)) - set(cols))
+    u = [w[r][j] - v[j] for r, j in enumerate(cols)]
+    for r in range(n_rows):
+        for j in range(n_cols):
+            if ok[r][j]:
+                assert u[r] + v[j] >= w[r][j] - 1e-9
+    assert sum(u) + sum(v) == pytest.approx(value, abs=1e-9)
+
+
 def test_max_assignment_without_complete_matching():
     # Hall's condition fails: two rows share their only allowed column.
-    assert _max_assignment([[(0, 1.0)], [(0, 2.0)], [(1, 5.0), (2, 1.0)]], 3) == -math.inf
-    assert _max_assignment([[]], 2) == -math.inf
-    assert _max_assignment([[(0, 1.0)], [(1, 1.0)]], 2) == 2.0
-    assert _max_assignment([], 0) == 0.0
+    assert _max_assignment([[(0, 1.0)], [(0, 2.0)], [(1, 5.0), (2, 1.0)]], 3)[0] == -math.inf
+    assert _max_assignment([[]], 2)[0] == -math.inf
+    assert _max_assignment([[(0, 1.0)], [(1, 1.0)]], 2) == (2.0, [0, 1], [0.0, 0.0])
+    assert _max_assignment([], 0) == (0.0, [], [])

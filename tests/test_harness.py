@@ -181,9 +181,9 @@ def test_verify_report_exact_solver():
 
 def test_verify_report_budget_bounds_the_exact_sweeps():
     """The budget covers the exact auction and its bid sweeps together. On
-    `small` seed 0 the whole audit takes about 15 s, nearly all of it in the
-    sweeps' solves."""
-    s = generate(preset("small"), seed=0)
+    C2-binding `small` seed 2 (the golden `c2` config) the whole audit takes
+    about 3.5 s, nearly all of it in the sweeps' solves."""
+    s = generate(dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3)), seed=2)
     start = time.perf_counter()
     report, _ = verify_report(s, "opt", budget_secs=1.0)
     assert time.perf_counter() - start < 3.0
