@@ -205,7 +205,7 @@ def solve_optimal(
     if root_value == -math.inf:
         return SolveResult(None, 0.0, 0)
     complete(root_cols)
-    heavy = sorted(((v[si], 1 << si) for si in range(ns) if v[si] > 0.0), reverse=True)
+    largest_v = sorted(((v[si], 1 << si) for si in range(ns) if v[si] > 0.0), reverse=True)
     reduced = [
         sorted(((uos[bi][si] - v[si], 1 << si) for si in candidates[bi]), reverse=True)
         for bi in range(nb)
@@ -225,7 +225,7 @@ def solve_optimal(
         # u_i + v_j >= w_ij): a completion is worth at most each open buyer's
         # best w - v over free sellers plus the largest free v, one per buyer.
         bound, left = total, nb - pos
-        for vj, bit in heavy:
+        for vj, bit in largest_v:
             if left and not used & bit:
                 bound, left = bound + vj, left - 1
         for later in order[pos:]:

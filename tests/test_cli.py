@@ -6,14 +6,7 @@ import time
 
 import pytest
 
-from vcauction import (
-    GenConfig,
-    config_to_dict,
-    generate,
-    preset,
-    scenario_dumps,
-    scenario_loads,
-)
+from vcauction import GenConfig, config_to_dict, generate, preset, scenario_dumps, scenario_loads
 from vcauction.cli import main
 
 from helpers import backtrack_scenario

@@ -270,24 +270,32 @@ def test_market_kernel_equals_scalar_rules(source, seed, reverse, data):
     _assert_kernel_matches_spec(s, excluded, m)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    n_rows=st.integers(0, 6),
-    extra_cols=st.integers(0, 3),
-    density=st.floats(0.2, 1.0),
-    rnd=st.randoms(use_true_random=False),
-)
-def test_max_assignment_equals_scipy(n_rows, extra_cols, density, rnd):
-    """The augmenting-path routine finds scipy's optimum on rectangular
-    matrices with forbidden cells, and -inf exactly when scipy finds that no
-    assignment of every row exists. Integer weights make ties common."""
-    n_cols = n_rows + extra_cols
+@st.composite
+def assignment_problems(draw):
+    """`(n_cols, w, ok, rows)`: a rectangular weight matrix `w` with allowed
+    cells `ok`, and its `_max_assignment` rows. Integer weights make ties
+    common."""
+    n_rows = draw(st.integers(0, 6))
+    n_cols = n_rows + draw(st.integers(0, 3))
+    density = draw(st.floats(0.2, 1.0))
+    rnd = draw(st.randoms(use_true_random=False))
     w = [
         [rnd.choice((float(rnd.randint(-3, 3)), rnd.uniform(-10.0, 10.0))) for _ in range(n_cols)]
         for _ in range(n_rows)
     ]
     ok = [[rnd.random() < density for _ in range(n_cols)] for _ in range(n_rows)]
     rows = [[(j, w[r][j]) for j in range(n_cols) if ok[r][j]] for r in range(n_rows)]
+    return n_cols, w, ok, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(assignment_problems())
+def test_max_assignment_equals_scipy(problem):
+    """The augmenting-path routine finds scipy's optimum on rectangular
+    matrices with forbidden cells, and -inf exactly when scipy finds that no
+    assignment of every row exists."""
+    n_cols, w, ok, rows = problem
+    n_rows = len(rows)
     got = _max_assignment(rows, n_cols)[0]
     cost = np.array(
         [[-w[r][j] if ok[r][j] else np.inf for j in range(n_cols)] for r in range(n_rows)]
@@ -301,38 +309,26 @@ def test_max_assignment_equals_scipy(n_rows, extra_cols, density, rnd):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    n_rows=st.integers(0, 6),
-    extra_cols=st.integers(0, 3),
-    density=st.floats(0.2, 1.0),
-    rnd=st.randoms(use_true_random=False),
-)
-def test_max_assignment_certificate(n_rows, extra_cols, density, rnd):
+@given(assignment_problems())
+def test_max_assignment_certificate(problem):
     """The matching and column duals returned with the value prove it
     optimal: the matching is one-to-one on allowed cells and sums to the
     value, v >= 0 and is 0 on unmatched columns, and with each row's dual
     read off its matched cell, u + v covers every allowed weight and sums to
     the value (LP duality for the assignment problem)."""
-    n_cols = n_rows + extra_cols
-    w = [
-        [rnd.choice((float(rnd.randint(-3, 3)), rnd.uniform(-10.0, 10.0))) for _ in range(n_cols)]
-        for _ in range(n_rows)
-    ]
-    ok = [[rnd.random() < density for _ in range(n_cols)] for _ in range(n_rows)]
-    rows = [[(j, w[r][j]) for j in range(n_cols) if ok[r][j]] for r in range(n_rows)]
+    n_cols, w, ok, rows = problem
     value, cols, v = _max_assignment(rows, n_cols)
     if value == -math.inf:
         return
-    assert len(cols) == n_rows and len(set(cols)) == n_rows
+    assert len(cols) == len(rows) and len(set(cols)) == len(rows)
     assert all(ok[r][j] for r, j in enumerate(cols))
     assert sum(w[r][j] for r, j in enumerate(cols)) == pytest.approx(value, abs=1e-9)
     assert len(v) == n_cols and min(v, default=0.0) >= 0.0
     assert all(v[j] == 0.0 for j in set(range(n_cols)) - set(cols))
     u = [w[r][j] - v[j] for r, j in enumerate(cols)]
-    for r in range(n_rows):
-        for j in range(n_cols):
-            if ok[r][j]:
-                assert u[r] + v[j] >= w[r][j] - 1e-9
+    for r, cells in enumerate(rows):
+        for j, weight in cells:
+            assert u[r] + v[j] >= weight - 1e-9
     assert sum(u) + sum(v) == pytest.approx(value, abs=1e-9)
 
 
