@@ -23,7 +23,7 @@ print(f"enumeration: {naive.explored} candidate maps "
 
 res = solve_optimal(s)
 print(f"branch and bound: same objective {res.objective_value:.4f}, "
-      f"{res.explored} nodes expanded")
+      f"{res.explored} search nodes and tie-break tests")
 assert abs(res.objective_value - naive.objective_value) <= 1e-9
 
 outcome = run_optimal_mechanism(s)

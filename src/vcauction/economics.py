@@ -262,12 +262,15 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> tuple:
             scanned.append(j)
             r, d_r = row_of[j], d_j
             cells = rows[r]
-        # Shift potentials so the path found is tight, then flip it.
+        # Shift potentials so the path found is tight, then flip it. A
+        # scanned column is no farther than the free one, but rounding can
+        # say otherwise: the shift is clamped at 0 so that v >= 0 exactly.
         d_free = dist[free]
         row_pot[start] -= d_free
         for j in scanned:
-            v[j] += d_free - dist[j]
-            row_pot[row_of[j]] -= d_free - dist[j]
+            shift = max(d_free - dist[j], 0.0)
+            v[j] += shift
+            row_pot[row_of[j]] -= shift
         j = free
         while j >= 0:
             r = pred[j]

@@ -435,7 +435,7 @@ def bench_sweep(
             bnb_completed = False
         bnb_runtime = time.perf_counter() - t0
 
-        match_run = run_mechanism(s, "maxuosg")
+        match_run = run_mechanism(s, "maxuosg", budget_secs=budget_secs)
         row = {
             "job_type": job_type,
             "sp_count": sp,

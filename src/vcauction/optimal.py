@@ -3,10 +3,18 @@
 Two interchangeable solvers maximize total UoS over complete feasible
 assignments: solve_naive literally enumerates every buyer permutation against
 every same-size seller subset (the reference oracle, factorial cost), while
-solve_optimal runs a depth-first search bounded by the duals of one assignment
-solve and returns the identical optimum. Ties on objective value are broken
-toward the lexicographically smallest pair list, so both solvers agree exactly.
-Both search complete assignments only (C3): there is no partial mode.
+solve_optimal returns the identical optimum in two phases. Ties on objective
+value are broken toward the lexicographically smallest pair list, so both
+solvers agree exactly. Both search complete assignments only (C3): there is
+no partial mode.
+
+solve_optimal first finds the optimum's value: the best of a few starts,
+improved by a depth-first search that keeps strict gains only and is bounded
+by the duals of one assignment solve over C1. It then breaks ties: buyers
+are fixed in `BuyerId` order, each on its first seller in `SellerId` order
+that still leaves a completion worth the optimum within the tolerance. Every
+buyer is matched, so that is the smallest pair list. Each such test is one
+more assignment solve, and a search only when its matching breaks C2.
 
 Payments follow the pivot rule: a winner receives its bid plus the welfare it
 adds, F(K*) - F_without, where F_without re-solves the scenario with that
@@ -40,10 +48,6 @@ __all__ = [
 ]
 
 
-# The assignment bound is worth its cost only near the root of the search.
-ASSIGNMENT_BOUND_DEPTH = 2
-
-
 class BudgetExceeded(RuntimeError):
     """Raised when a solve runs past its wall-clock deadline."""
 
@@ -52,6 +56,9 @@ class BudgetExceeded(RuntimeError):
 class SolveResult:
     assignment: Assignment | None
     objective_value: float
+    # solve_naive: candidate maps enumerated. solve_optimal: search nodes
+    # (one per buyer placed) of both phases plus the tie-break's completion
+    # tests; 0 when the starts and the assignment solves settle everything.
     explored: int
 
 
@@ -60,7 +67,8 @@ class OptOutcome:
     assignment: Assignment
     objective_value: float
     payments: dict[SellerId, float]
-    # Nodes of the root search, and of all pivot re-solves together.
+    # `SolveResult.explored` of the root solve, and of all pivot re-solves
+    # together.
     explored_nodes: int
     pivot_nodes: int
 
@@ -130,18 +138,19 @@ def solve_optimal(
     incumbent: Assignment | None = None,
     deadline: float | None = None,
 ) -> SolveResult:
-    """Branch-and-bound equivalent of solve_naive.
+    """Branch-and-bound equivalent of solve_naive, in two phases.
 
     `market` is `Market(s, excluded)` when the caller already has it, or a
     `without`/`with_bid` variant of it; the search then reads the market
     alone. `incumbent` is a known assignment to start from: its pairs on
-    sellers outside the market are re-placed greedily, and it primes the
-    bound only if that leaves it complete and feasible. The search raises
+    sellers outside the market are re-placed greedily, and it is a start
+    only if that leaves it complete and feasible. The solve raises
     BudgetExceeded past the `perf_counter` time `deadline`.
 
-    One assignment solve over C1 (C2 dropped) opens the search: it proves
-    infeasibility with no node visited, its matching is one more start, and
-    its column duals give every node a reduced-cost bound.
+    Phase 1 finds the optimum's value: the best of the starts, improved by a
+    search that keeps strict gains only. Phase 2 fixes buyers in `BuyerId`
+    order, each on its first seller that still leaves a completion worth the
+    optimum within the tolerance, which gives the smallest pair list.
     """
     m = market if market is not None else Market(s, excluded)
     nb, ns = len(m.buyers), len(m.sellers)
@@ -153,23 +162,19 @@ def solve_optimal(
         for bi in range(nb)
     ]
     order = sorted(range(nb), key=lambda bi: (len(candidates[bi]), bi))
+    nodes = 0
 
-    best_value = -math.inf
-    best_pairs: tuple | None = None
+    def worth(assigned: list[int]) -> float:
+        return sum(uos[bi][si] for bi, si in enumerate(assigned))
 
-    def consider(assigned: list[int], total: float) -> None:
-        nonlocal best_value, best_pairs
-        if total < best_value - TOLERANCE:
-            return
-        pairs = _pair_list(m, assigned)
-        if total > best_value + TOLERANCE:
-            best_value, best_pairs = total, pairs
-        elif pairs < best_pairs:
-            best_value, best_pairs = max(best_value, total), pairs
+    def check_deadline() -> None:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded("optimal solve exceeded its budget")
 
-    def complete(start: list[int]) -> None:
+    def complete(start: list[int]) -> list[int] | None:
         """Fill the buyers `start` leaves open with their first free seller
-        that keeps C2, in search order, and consider the result."""
+        that keeps C2, in search order; None if `start` breaks C2 or C4 or a
+        buyer finds no seller."""
         seed = [-1] * nb
         used = 0
         for bi in order:
@@ -177,7 +182,7 @@ def solve_optimal(
             if si >= 0:
                 free = feasible[bi][si] and not (used >> si) & 1
                 if not free or not _edges_ok(edges, sp_of, seed, bi, si):
-                    return
+                    return None
                 seed[bi] = si
                 used |= 1 << si
         for bi in order:
@@ -188,79 +193,145 @@ def solve_optimal(
                     -1,
                 )
                 if pick < 0:
-                    return
+                    return None
                 seed[bi] = pick
                 used |= 1 << pick
-        consider(seed, sum(uos[bi][si] for bi, si in enumerate(seed)))
+        return seed
 
-    complete([-1] * nb)
+    def relax(assigned: list[int], used: int) -> tuple:
+        """The assignment solve over C1 (C2 dropped) of the buyers that
+        `assigned` (seller per buyer, -1 when open) leaves open to the
+        sellers outside `used`: the open buyers in search order, then the
+        value, columns and duals of `_max_assignment`."""
+        check_deadline()
+        open_ = [bi for bi in order if assigned[bi] < 0]
+        rows = [[(si, uos[bi][si]) for si in candidates[bi] if not (used >> si) & 1] for bi in open_]
+        return (open_, *_max_assignment(rows, ns))
+
+    def search(assigned: list[int], used: int, total: float, floor: float, first: bool, relaxed):
+        """Complete assignments that extend `assigned` (`used` its seller
+        bits, `total` its value) and are worth at least `floor`. Returns the
+        first one found when `first`, else the best, each find raising
+        `floor` past itself; None if there is none.
+
+        `relaxed` is `relax(assigned, used)`. Below `floor` it proves there
+        is nothing to find; when its matching keeps C2, that matching is the
+        answer. Otherwise a depth-first search runs, bounded at every node by
+        the relaxation's column duals."""
+        open_, value, cols, v = relaxed
+        if value == -math.inf or total + value < floor:
+            return None
+        trial = list(assigned)
+        for bi, si in zip(open_, cols):
+            if not _edges_ok(edges, sp_of, trial, bi, si):
+                break
+            trial[bi] = si
+        else:
+            return trial
+        largest_v = sorted(((v[si], 1 << si) for si in range(ns) if v[si] > 0.0), reverse=True)
+        reduced = [
+            sorted(((uos[bi][si] - v[si], 1 << si) for si in candidates[bi]), reverse=True)
+            for bi in open_
+        ]
+        found = None
+
+        def dfs(pos: int, used: int, total: float) -> bool:
+            nonlocal nodes, floor, found
+            if nodes % 2048 == 0:
+                check_deadline()
+            # Reduced-cost bound, admissible by weak duality (v >= 0 and
+            # u_i + v_j >= w_ij): a completion is worth at most each open
+            # buyer's best w - v over free sellers plus the largest free v,
+            # one per buyer.
+            bound, left = total, len(open_) - pos
+            for vj, bit in largest_v:
+                if left and not used & bit:
+                    bound, left = bound + vj, left - 1
+            for row in reduced[pos:]:
+                for r, bit in row:
+                    if not used & bit:
+                        bound += r
+                        break
+                else:
+                    return False
+            if bound < floor:
+                return False
+            if pos == len(open_):
+                found = list(assigned)
+                floor = total + TOLERANCE
+                return first
+            bi = open_[pos]
+            for si in candidates[bi]:
+                if (used >> si) & 1 or not _edges_ok(edges, sp_of, assigned, bi, si):
+                    continue
+                nodes += 1
+                assigned[bi] = si
+                stop = dfs(pos + 1, used | (1 << si), total + uos[bi][si])
+                assigned[bi] = -1
+                if stop:
+                    return True
+            return False
+
+        dfs(0, used, total)
+        return found
+
+    # Phase 1: the optimum's value, from the greedy start, the incumbent and
+    # a search that keeps strict gains only. With no C1 assignment there is
+    # no assignment at all.
+    root = relax([-1] * nb, 0)
+    if root[1] == -math.inf:
+        return SolveResult(None, 0.0, 0)
+    witness = complete([-1] * nb)
     if incumbent is not None:
         start = [-1] * nb
         for b, sid in incumbent.pairs:
             start[m.buyer_index[b]] = m.seller_index.get(sid, -1)
-        complete(start)
-    # The root assignment: C1 alone, so its value bounds every assignment.
-    whole = [[(si, uos[bi][si]) for si in candidates[bi]] for bi in range(nb)]
-    root_value, root_cols, v = _max_assignment(whole, ns)
-    if root_value == -math.inf:
-        return SolveResult(None, 0.0, 0)
-    complete(root_cols)
-    largest_v = sorted(((v[si], 1 << si) for si in range(ns) if v[si] > 0.0), reverse=True)
-    reduced = [
-        sorted(((uos[bi][si] - v[si], 1 << si) for si in candidates[bi]), reverse=True)
-        for bi in range(nb)
-    ]
+        other = complete(start)
+        if other is not None and (witness is None or worth(other) > worth(witness)):
+            witness = other
+    floor = worth(witness) + TOLERANCE if witness is not None else -math.inf
+    better = search([-1] * nb, 0, 0.0, floor, False, root)
+    if better is not None:
+        witness = better
+    if witness is None:
+        return SolveResult(None, 0.0, nodes)
 
+    # Phase 2: the smallest pair list worth at least `target`. The witness
+    # extends the buyers fixed so far, so each buyer tests only the sellers
+    # before the witness's, and otherwise takes the witness's. By weak
+    # duality an assignment is worth at most `ceiling` less the reduced
+    # costs of its pairs against the root duals, so a seller whose reduced
+    # cost, with those of the fixed pairs, drops the ceiling below `target`
+    # needs no test.
+    target = worth(witness) - TOLERANCE
+    v = root[3]
+    u = [max(uos[bi][si] - v[si] for si in candidates[bi]) for bi in range(nb)]
+    ceiling = sum(u) + sum(v)
     assigned = [-1] * nb
-    nodes = 0
-
-    def dfs(pos: int, used: int, total: float) -> None:
-        nonlocal nodes
-        if deadline is not None and nodes % 2048 == 0 and time.perf_counter() > deadline:
-            raise BudgetExceeded("optimal solve exceeded its budget")
-        if pos == nb:
-            consider(assigned, total)
-            return
-        # Reduced-cost bound, admissible by weak duality (v >= 0 and
-        # u_i + v_j >= w_ij): a completion is worth at most each open buyer's
-        # best w - v over free sellers plus the largest free v, one per buyer.
-        bound, left = total, nb - pos
-        for vj, bit in largest_v:
-            if left and not used & bit:
-                bound, left = bound + vj, left - 1
-        for later in order[pos:]:
-            for r, bit in reduced[later]:
-                if not used & bit:
-                    bound += r
-                    break
-            else:
-                return
-        if bound < best_value - TOLERANCE:
-            return
-        # At the root this bound is root_value, which no incumbent beats.
-        if 0 < pos <= ASSIGNMENT_BOUND_DEPTH:
-            rows = [
-                [(si, uos[later][si]) for si in candidates[later] if not (used >> si) & 1]
-                for later in order[pos:]
-            ]
-            if total + _max_assignment(rows, ns)[0] < best_value - TOLERANCE:
-                return
-        bi = order[pos]
-        for si in candidates[bi]:
-            if (used >> si) & 1:
+    used, total = 0, 0.0
+    for bi in range(nb):
+        for si in range(witness[bi]):
+            if not feasible[bi][si] or (used >> si) & 1:
+                continue
+            if ceiling - (u[bi] + v[si] - uos[bi][si]) < target:
                 continue
             if not _edges_ok(edges, sp_of, assigned, bi, si):
                 continue
             nodes += 1
             assigned[bi] = si
-            dfs(pos + 1, used | (1 << si), total + uos[bi][si])
+            next_used, next_total = used | (1 << si), total + uos[bi][si]
+            found = search(assigned, next_used, next_total, target, True, relax(assigned, next_used))
             assigned[bi] = -1
+            if found is not None:
+                witness = found
+                break
+        si = witness[bi]
+        ceiling -= u[bi] + v[si] - uos[bi][si]
+        assigned[bi] = si
+        used, total = used | (1 << si), total + uos[bi][si]
 
-    dfs(0, 0, 0.0)
-
-    if best_pairs is None:
-        return SolveResult(None, 0.0, nodes)
-    return SolveResult(Assignment(best_pairs), m.objective(best_pairs), nodes)
+    pairs = _pair_list(m, witness)
+    return SolveResult(Assignment(pairs), m.objective(pairs), nodes)
 
 
 def _pivot(

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from vcauction import (
@@ -308,8 +308,22 @@ def test_max_assignment_equals_scipy(problem):
     assert got == pytest.approx(-cost[r_idx, c_idx].sum(), abs=1e-9)
 
 
+def _all_allowed(w: list[list[float]]) -> tuple:
+    """An `assignment_problems` draw in which every cell is allowed."""
+    n_cols = len(w[0])
+    ok = [[True] * n_cols for _ in w]
+    return n_cols, w, ok, [list(enumerate(row)) for row in w]
+
+
 @settings(max_examples=200, deadline=None)
 @given(assignment_problems())
+# A shift d_free - dist[j] that rounds below 0 once gave v[0] = -8.4e-142.
+@example(_all_allowed([
+    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0] * 6,
+    [0.0, 1.0, 0.0, 8.425089097189998e-142, 0.0, 0.0],
+    [0.0] * 6,
+]))
 def test_max_assignment_certificate(problem):
     """The matching and column duals returned with the value prove it
     optimal: the matching is one-to-one on allowed cells and sums to the

@@ -4,7 +4,12 @@
 of each matching scan trace, the search node counts, and a digest of the
 lists and sweeps that `verify_report` serialises. Any change to a
 mechanism's arithmetic, tie-breaking, scan order or search order shows up
-here as a mismatch. Regenerate the file only on purpose:
+here as a mismatch. List what a change moves, one changed leaf per line as
+`path: old → new`, without touching the file:
+
+    PYTHONPATH=src:tests python3 tests/test_golden.py --diff
+
+and regenerate the file only on purpose:
 
     PYTHONPATH=src:tests python3 tests/test_golden.py --write
 """
@@ -184,7 +189,36 @@ def test_outputs_match_golden():
     assert got.keys() == want.keys()
 
 
+def _leaves(doc, path: str = ""):
+    """`(path, value)` for every scalar in `doc`, paths joined by `/`."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _leaves(value, f"{path}/{key}" if path else str(key))
+    else:
+        yield path, doc
+
+
+def diff(old, new) -> list[str]:
+    """One `path: old → new` line per leaf that differs; a leaf present on
+    one side only shows as `absent` on the other."""
+    before, after = dict(_leaves(old)), dict(_leaves(new))
+    paths = list(before) + [p for p in after if p not in before]
+    absent = object()
+    show = lambda x: "absent" if x is absent else json.dumps(x)
+    lines = []
+    for path in paths:
+        a, b = before.get(path, absent), after.get(path, absent)
+        if a != b:
+            lines.append(f"{path}: {show(a)} → {show(b)}")
+    return lines
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    elif sys.argv[1:] == ["--diff"]:
+        got = json.loads(json.dumps(compute()))
+        print("\n".join(diff(json.loads(GOLDEN.read_text()), got)) or "no change")
+    else:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")

@@ -7,6 +7,7 @@ import pytest
 
 from vcauction import (
     Assignment,
+    BudgetExceeded,
     BuyerId,
     GenConfig,
     Market,
@@ -24,6 +25,7 @@ from vcauction import (
     serialize_buyer_lists,
     solve_optimal,
     verify_report,
+    verify_truthfulness_opt,
 )
 import vcauction.harness as harness
 
@@ -194,6 +196,24 @@ def test_verify_report_budget_bounds_the_exact_sweeps():
     assert report["truncated"] and not report["success"] and rows == []
 
 
+def test_verify_report_truncates_inside_the_sweeps(monkeypatch):
+    """A budget that runs out after the auction, at the second winner's
+    sweep, keeps the auction and the first sweep, whatever the speed."""
+    calls = []
+
+    def second_call_runs_out(s, sid, *, deadline=None):
+        calls.append(sid)
+        if len(calls) == 2:
+            raise BudgetExceeded("sweep stopped")
+        return verify_truthfulness_opt(s, sid, deadline=deadline)
+
+    monkeypatch.setattr(harness, "verify_truthfulness_opt", second_call_runs_out)
+    report, rows = verify_report(generate(preset("small"), seed=0), "opt")
+    assert report["truncated"] and report["success"]
+    assert len(report["sweeps"]) == 1 < len(report["winners"])
+    assert {r["seller"] for r in rows} == {"%d:%d:%d" % tuple(report["sweeps"][0]["seller"])}
+
+
 def test_verify_report_infeasible_scenario():
     s = generate(TINY_CFG, seed=3)
     report, rows = verify_report(s, "maxuosg")
@@ -231,6 +251,19 @@ def test_bench_sweep_smoke():
         assert r["enum_maps"] == math.factorial(3) * math.comb(r["sellers"], 3)
         assert r["maxuosg_runtime_secs"] > 0.0
         assert r["enum_over_maxuosg"] > 0.0
+
+
+def test_bench_sweep_passes_its_budget_to_the_matching_run(monkeypatch):
+    budgets = []
+
+    def spy(s, name, seed=0, budget_secs=harness.DEFAULT_BUDGET_SECS):
+        budgets.append(budget_secs)
+        return run_mechanism(s, name, seed, budget_secs)
+
+    monkeypatch.setattr(harness, "run_mechanism", spy)
+    rows = bench_sweep(1, [1], base_seed=0, budget_secs=0.0)
+    assert budgets == [0.0]
+    assert rows[0]["bnb_completed"] == 0
 
 
 def test_bench_sweep_flags_budget_exhaustion():

@@ -15,6 +15,7 @@ from vcauction import (
     JobEdge,
     Market,
     Scenario,
+    TOLERANCE,
     SellerId,
     ServiceProvider,
     ValuationConfig,
@@ -26,6 +27,7 @@ from vcauction import (
     objective,
     pair_feasible,
     preset,
+    run_mechanism,
     run_optimal_mechanism,
     solve_naive,
     solve_optimal,
@@ -176,6 +178,70 @@ def test_seeded_pivot_resolves_match_enumeration():
             assert payment == out.objective_value - f_wo + s.seller(winner).bid
             checked += 1
     assert checked == 110
+
+
+def _swap_ties(s, a: Assignment) -> list[Assignment]:
+    """The complete feasible assignments, other than `a`, that swap the
+    sellers of two buyers of one job placed on one provider and are worth
+    `a` within the tolerance. Truthful bids make UoS additive within a job,
+    so such swaps are exact ties up to rounding."""
+    pairs = dict(a.pairs)
+    ties = []
+    for b1, b2 in itertools.combinations(pairs, 2):
+        if b1.job_index != b2.job_index or pairs[b1].sp_index != pairs[b2].sp_index:
+            continue
+        swapped = Assignment.from_pairs({**pairs, b1: pairs[b2], b2: pairs[b1]}.items())
+        if (
+            assignment_feasible(s, swapped, require_complete=True)
+            and abs(objective(s, swapped) - objective(s, a)) <= TOLERANCE
+        ):
+            ties.append(swapped)
+    return ties
+
+
+def test_tie_break_matches_enumeration_on_swap_ties():
+    """Where the optimum ties with a swap of two buyers of one job, the root
+    solve and every pivot re-solve return the enumeration oracle's smallest
+    pair list and its objective bits."""
+    tied = 0
+    for seed in range(200):
+        s = make_tiny(seed)
+        root = solve_naive(s)
+        if root.assignment is None or not _swap_ties(s, root.assignment):
+            continue
+        tied += 1
+        assert all(root.assignment.pairs < t.pairs for t in _swap_ties(s, root.assignment))
+        out = run_optimal_mechanism(s)
+        assert out.assignment == root.assignment, seed
+        assert repr(out.objective_value) == repr(root.objective_value), seed
+        m = Market(s)
+        for winner in out.payments:
+            excluded = frozenset({winner})
+            res_n = solve_naive(s, excluded=excluded)
+            for res_o in (
+                solve_optimal(s, excluded=excluded),
+                solve_optimal(
+                    s, excluded=excluded, market=m.without(winner), incumbent=out.assignment
+                ),
+            ):
+                assert res_o.assignment == res_n.assignment, (seed, winner)
+                assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
+    assert tied >= 20
+
+
+def test_large_exact_auction_completes():
+    """`large` seed 2, which used to run past any practical budget: the
+    exact auction finishes, feasible, at least as good as matching, and
+    pays every winner at least its bid."""
+    s = generate(preset("large"), seed=2)
+    run = run_mechanism(s, "opt", budget_secs=30)
+    assert run.success and not run.truncated
+    assert assignment_feasible(s, run.assignment, require_complete=True)
+    matching = run_mechanism(s, "maxuosg", budget_secs=30)
+    assert matching.success
+    assert run.objective_value >= matching.objective_value - TOLERANCE
+    for sid, payment in run.payments.items():
+        assert payment >= s.seller(sid).bid - TOLERANCE
 
 
 def test_infeasible_incumbent_is_ignored():
