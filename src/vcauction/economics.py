@@ -264,13 +264,14 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> tuple:
             cells = rows[r]
         # Shift potentials so the path found is tight, then flip it. A
         # scanned column is no farther than the free one, but rounding can
-        # say otherwise: the shift is clamped at 0 so that v >= 0 exactly.
+        # say otherwise: a shift below 0 is skipped so that v >= 0 exactly.
         d_free = dist[free]
         row_pot[start] -= d_free
         for j in scanned:
-            shift = max(d_free - dist[j], 0.0)
-            v[j] += shift
-            row_pot[row_of[j]] -= shift
+            shift = d_free - dist[j]
+            if shift > 0.0:
+                v[j] += shift
+                row_pot[row_of[j]] -= shift
         j = free
         while j >= 0:
             r = pred[j]
