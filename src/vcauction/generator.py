@@ -7,6 +7,7 @@ seed pins the scenario down to the byte.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +137,9 @@ def validate_config(cfg: GenConfig) -> list[str]:
 
     def check_range(name: str, rng: tuple[float, float], positive: bool = True):
         lo, hi = rng
-        if positive and lo <= 0:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            bad.append(f"{name}: bounds ({lo}, {hi}) must be finite")
+        elif positive and lo <= 0:
             bad.append(f"{name}: lower bound {lo} must be positive")
         if lo > hi:
             bad.append(f"{name}: lower bound {lo} above upper bound {hi}")
@@ -319,5 +322,5 @@ def config_from_dict(doc: dict) -> GenConfig:
             seed=int(doc.get("seed", 0)),
             custom_types=custom,
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed config document: {exc}") from exc

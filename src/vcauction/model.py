@@ -283,7 +283,19 @@ def contact_probability(rate: float, duration: float) -> float:
 
 
 def validate_scenario(s: Scenario) -> list[str]:
-    """Structural validation; returns a list of human-readable violations."""
+    """Structural validation; returns a list of human-readable violations.
+
+    A NaN or an infinity anywhere is the only violation reported, since no
+    other check means anything with it.
+    """
+    numbers = [s.epsilon, s.valuation.beta1, s.valuation.beta2]
+    numbers += [x for row in s.contact_rate for x in row]
+    numbers += [vm.base_time for sp in s.sps for vm in sp.vms]
+    numbers += [x for sel in s.sellers for x in (sel.capability, sel.bid, sel.true_value)]
+    for job in s.jobs:
+        numbers += [job.alpha, *job.tolerable_times, *(e.weight for e in job.edges)]
+    if not all(map(math.isfinite, numbers)):
+        return ["a number is NaN or infinite"]
     bad: list[str] = []
     max_demand = s.max_demand
 
@@ -419,15 +431,23 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _finite(x) -> float:
+    """`float(x)`, refusing the NaN and infinities that `json` parses."""
+    out = float(x)
+    if not math.isfinite(out):
+        raise ValueError(f"number {out} is not finite")
+    return out
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         jobs = tuple(
             GraphJob(
                 owner_index=int(j["owner_index"]),
-                alpha=float(j["alpha"]),
-                tolerable_times=tuple(float(c["tolerable_time"]) for c in j["components"]),
+                alpha=_finite(j["alpha"]),
+                tolerable_times=tuple(_finite(c["tolerable_time"]) for c in j["components"]),
                 edges=tuple(
-                    JobEdge(int(e["endpoints"][0]), int(e["endpoints"][1]), float(e["weight"]))
+                    JobEdge(int(e["endpoints"][0]), int(e["endpoints"][1]), _finite(e["weight"]))
                     for e in j["edges"]
                 ),
             )
@@ -437,21 +457,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
             ServiceProvider(
                 index=int(p["index"]),
                 vms=tuple(
-                    VirtualMachine(float(v["base_time"]), int(v["max_rank"]))
+                    VirtualMachine(_finite(v["base_time"]), int(v["max_rank"]))
                     for v in p["vms"]
                 ),
             )
             for p in doc["sps"]
         )
-        contact = tuple(tuple(float(x) for x in row) for row in doc["contact_rate"])
+        contact = tuple(tuple(_finite(x) for x in row) for row in doc["contact_rate"])
         coverage = tuple(frozenset(int(m) for m in cov) for cov in doc["coverage"])
         valuation = ValuationConfig(
-            beta1=float(doc["valuation"]["beta1"]),
-            beta2=float(doc["valuation"]["beta2"]),
+            beta1=_finite(doc["valuation"]["beta1"]),
+            beta2=_finite(doc["valuation"]["beta2"]),
         )
-        epsilon = float(doc["epsilon"])
+        epsilon = _finite(doc["epsilon"])
         seed = int(doc["seed"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed scenario document: {exc}") from exc
 
     max_demand = max((t for job in jobs for t in job.tolerable_times), default=0.0)

@@ -8,20 +8,21 @@ value are broken toward the lexicographically smallest pair list, so both
 solvers agree exactly. Both search complete assignments only (C3): there is
 no partial mode.
 
-solve_optimal first finds the optimum's value: the best of a few starts,
-improved by a depth-first search that keeps strict gains only and is bounded
-by the duals of one assignment solve over C1. It then breaks ties: buyers
-are fixed in `BuyerId` order, each on its first seller in `SellerId` order
-that still leaves a completion worth the optimum within the tolerance. Every
-buyer is matched, so that is the smallest pair list. Each such test is one
-more assignment solve, and a search only when its matching breaks C2.
+solve_optimal first finds the optimum's value with one assignment solve over
+C1: its matching is the optimum when it keeps C2, and otherwise a depth-first
+search bounded by its duals runs and keeps strict gains only. It then breaks
+ties: buyers are fixed in `BuyerId` order, each on its first seller in
+`SellerId` order that still leaves a completion worth the optimum within the
+tolerance. Every buyer is matched, so that is the smallest pair list. Each
+such test is one more assignment solve, and a search only when its matching
+breaks C2.
 
 Payments follow the pivot rule: a winner receives its bid plus the welfare it
 adds, F(K*) - F_without, where F_without re-solves the scenario with that
 seller removed. When removal leaves no complete assignment at all, F_without
 is 0 (the market cannot run), which keeps F(K*) >= F_without and therefore
 non-negative winner utility under truthful bids. Each re-solve reads the root
-solve's compiled market with the winner's column dropped, and starts from K*.
+solve's compiled market with the winner's column dropped.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ class SolveResult:
     objective_value: float
     # solve_naive: candidate maps enumerated. solve_optimal: search nodes
     # (one per buyer placed) of both phases plus the tie-break's completion
-    # tests; 0 when the starts and the assignment solves settle everything.
+    # tests; 0 when the assignment solves settle everything.
     explored: int
 
 
@@ -135,22 +136,20 @@ def solve_optimal(
     excluded: frozenset[SellerId] = frozenset(),
     *,
     market: Market | None = None,
-    incumbent: Assignment | None = None,
     deadline: float | None = None,
 ) -> SolveResult:
     """Branch-and-bound equivalent of solve_naive, in two phases.
 
     `market` is `Market(s, excluded)` when the caller already has it, or a
     `without`/`with_bid` variant of it; the search then reads the market
-    alone. `incumbent` is a known assignment to start from: its pairs on
-    sellers outside the market are re-placed greedily, and it is a start
-    only if that leaves it complete and feasible. The solve raises
-    BudgetExceeded past the `perf_counter` time `deadline`.
+    alone. The solve raises BudgetExceeded past the `perf_counter` time
+    `deadline`.
 
-    Phase 1 finds the optimum's value: the best of the starts, improved by a
-    search that keeps strict gains only. Phase 2 fixes buyers in `BuyerId`
-    order, each on its first seller that still leaves a completion worth the
-    optimum within the tolerance, which gives the smallest pair list.
+    Phase 1 finds the optimum's value: the root assignment solve's matching,
+    or a search from it that keeps strict gains only. Phase 2 fixes buyers
+    in `BuyerId` order, each on its first seller that still leaves a
+    completion worth the optimum within the tolerance, which gives the
+    smallest pair list.
     """
     m = market if market is not None else Market(s, excluded)
     nb, ns = len(m.buyers), len(m.sellers)
@@ -170,33 +169,6 @@ def solve_optimal(
     def check_deadline() -> None:
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded("optimal solve exceeded its budget")
-
-    def complete(start: list[int]) -> list[int] | None:
-        """Fill the buyers `start` leaves open with their first free seller
-        that keeps C2, in search order; None if `start` breaks C2 or C4 or a
-        buyer finds no seller."""
-        seed = [-1] * nb
-        used = 0
-        for bi in order:
-            si = start[bi]
-            if si >= 0:
-                free = feasible[bi][si] and not (used >> si) & 1
-                if not free or not _edges_ok(edges, sp_of, seed, bi, si):
-                    return None
-                seed[bi] = si
-                used |= 1 << si
-        for bi in order:
-            if seed[bi] < 0:
-                pick = next(
-                    (si for si in candidates[bi]
-                     if not (used >> si) & 1 and _edges_ok(edges, sp_of, seed, bi, si)),
-                    -1,
-                )
-                if pick < 0:
-                    return None
-                seed[bi] = pick
-                used |= 1 << pick
-        return seed
 
     def relax(assigned: list[int], used: int) -> tuple:
         """The assignment solve over C1 (C2 dropped) of the buyers that
@@ -275,24 +247,11 @@ def solve_optimal(
         dfs(0, used, total)
         return found
 
-    # Phase 1: the optimum's value, from the greedy start, the incumbent and
-    # a search that keeps strict gains only. With no C1 assignment there is
-    # no assignment at all.
+    # Phase 1: the optimum's value, by a search from the root assignment
+    # solve that keeps strict gains only. With no C1 assignment it visits no
+    # node.
     root = relax([-1] * nb, 0)
-    if root[1] == -math.inf:
-        return SolveResult(None, 0.0, 0)
-    witness = complete([-1] * nb)
-    if incumbent is not None:
-        start = [-1] * nb
-        for b, sid in incumbent.pairs:
-            start[m.buyer_index[b]] = m.seller_index.get(sid, -1)
-        other = complete(start)
-        if other is not None and (witness is None or worth(other) > worth(witness)):
-            witness = other
-    floor = worth(witness) + TOLERANCE if witness is not None else -math.inf
-    better = search([-1] * nb, 0, 0.0, floor, False, root)
-    if better is not None:
-        witness = better
+    witness = search([-1] * nb, 0, 0.0, -math.inf, False, root)
     if witness is None:
         return SolveResult(None, 0.0, nodes)
 
@@ -335,14 +294,11 @@ def solve_optimal(
 
 
 def _pivot(
-    s: Scenario, m: Market, k_star: Assignment, f_star: float, sid: SellerId, deadline: float | None
+    s: Scenario, m: Market, f_star: float, sid: SellerId, deadline: float | None
 ) -> tuple[float, int]:
-    """Pivot payment for winner `sid` of K* on the compiled market `m`, and
-    the nodes its re-solve explored. The re-solve starts from K* with the
-    winner's buyer moved to its best free seller."""
-    without = solve_optimal(
-        s, excluded=frozenset({sid}), market=m.without(sid), incumbent=k_star, deadline=deadline
-    )
+    """Pivot payment for winner `sid` of an optimum worth `f_star` on the
+    compiled market `m`, and the nodes its re-solve explored."""
+    without = solve_optimal(s, excluded=frozenset({sid}), market=m.without(sid), deadline=deadline)
     f_wo = without.objective_value if without.assignment is not None else 0.0
     return f_star - f_wo + s.seller(sid).bid, without.explored
 
@@ -362,7 +318,7 @@ def vcg_payment(
     """
     if k_star.buyer_of(sid) is None:
         raise ValueError(f"{sid.label()} is not a winner")
-    return _pivot(s, Market(s), k_star, f_star, sid, deadline)[0]
+    return _pivot(s, Market(s), f_star, sid, deadline)[0]
 
 
 def run_optimal_mechanism(s: Scenario, *, deadline: float | None = None) -> OptOutcome | None:
@@ -380,7 +336,7 @@ def run_optimal_mechanism(s: Scenario, *, deadline: float | None = None) -> OptO
     payments: dict[SellerId, float] = {}
     pivot_nodes = 0
     for _, sid in res.assignment.pairs:
-        payments[sid], nodes = _pivot(s, m, res.assignment, res.objective_value, sid, deadline)
+        payments[sid], nodes = _pivot(s, m, res.objective_value, sid, deadline)
         pivot_nodes += nodes
     return OptOutcome(res.assignment, res.objective_value, payments, res.explored, pivot_nodes)
 

@@ -2,12 +2,16 @@
 import csv
 import dataclasses
 import json
+import math
 import time
+from pathlib import Path
 
 import pytest
 
 from vcauction import GenConfig, config_to_dict, generate, preset, scenario_dumps, scenario_loads
+import vcauction.harness as harness
 from vcauction.cli import main
+from vcauction.optimal import BudgetExceeded, verify_truthfulness_opt
 
 from helpers import backtrack_scenario
 
@@ -90,6 +94,24 @@ def test_solve_bad_inputs(tmp_path, tiny_scenario_file, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_input_exits_2(tmp_path, tiny_scenario_file, capsys):
+    """An infinite time in a scenario file and a NaN range in a config file
+    are input errors, not crashes."""
+    doc = json.loads(Path(tiny_scenario_file).read_text())
+    doc["jobs"][0]["components"][0]["tolerable_time"] = math.inf
+    scenario = tmp_path / "inf.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["solve", str(scenario), "--mechanism", "opt"]) == 2
+    assert "error:" in capsys.readouterr().err
+    doc = config_to_dict(TINY_CFG)
+    doc["alpha_range"] = [math.nan, 4.0]
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps(doc))
+    out = str(tmp_path / "exp.json")
+    assert main(["experiment", "--config", str(config), "--trials", "1", "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_matching(tmp_path, tiny_scenario_file, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", tiny_scenario_file, "--out", str(out)]) == 0
@@ -128,6 +150,25 @@ def test_verify_budget_exceeded(tmp_path, capsys):
         printed = capsys.readouterr().out
         assert "budget exceeded" in printed
         assert "no feasible allocation" not in printed
+
+
+def test_verify_budget_exceeded_inside_the_sweeps(tmp_path, monkeypatch, capsys):
+    """A budget that runs out at the second winner's sweep, whatever the
+    speed, is reported as such, and is no violation."""
+    calls = []
+
+    def second_call_runs_out(s, sid, *, deadline=None):
+        calls.append(sid)
+        if len(calls) == 2:
+            raise BudgetExceeded("sweep stopped")
+        return verify_truthfulness_opt(s, sid, deadline=deadline)
+
+    monkeypatch.setattr(harness, "verify_truthfulness_opt", second_call_runs_out)
+    path = tmp_path / "small.json"
+    path.write_text(scenario_dumps(generate(preset("small"), seed=0)))
+    assert main(["verify", str(path), "--mechanism", "opt"]) == 0
+    assert "opt: budget exceeded before every sweep finished" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_maxuosg_budget_exceeded(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Scenario generator tests: presets, determinism, drawn-value ranges."""
 import collections
 import dataclasses
+import math
 
 import pytest
 
@@ -119,6 +120,14 @@ def test_validate_config_flags():
     bad_cov = dataclasses.replace(base, coverage_density=0.0)
     assert any("coverage_density" in f for f in validate_config(bad_cov))
     assert validate_config(base) == []
+
+
+def test_validate_config_flags_non_finite_ranges():
+    for field, rng in (("alpha_range", (2.5, math.nan)), ("epsilon_range", (math.nan, 0.95))):
+        cfg = dataclasses.replace(preset("small"), **{field: rng})
+        assert any(f.startswith(field) and "finite" in f for f in validate_config(cfg))
+        with pytest.raises(ValueError):
+            generate(cfg, seed=0)
 
 
 def test_job_type_spec_rejects_bad_topologies():

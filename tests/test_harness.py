@@ -90,7 +90,7 @@ def test_opt_run_reports_root_and_pivot_nodes():
     assert run.detail["pivot_nodes"] == out.pivot_nodes > 0
     m = Market(s)
     resolves = [
-        solve_optimal(s, excluded=frozenset({w}), market=m.without(w), incumbent=out.assignment)
+        solve_optimal(s, excluded=frozenset({w}), market=m.without(w))
         for w in out.payments
     ]
     assert out.pivot_nodes == sum(res.explored for res in resolves)

@@ -206,6 +206,41 @@ def test_loads_rejects_malformed_document():
         scenario_loads(json.dumps({"jobs": []}))
 
 
+def test_loads_rejects_non_finite_numbers():
+    """`json` parses NaN and Infinity; a scenario document holding either is
+    malformed, in a float field or an integer one."""
+    for path in (("jobs", 0, "components", 0, "tolerable_time"), ("valuation", "beta2"), ("seed",)):
+        for x in (math.inf, math.nan):
+            doc = scenario_to_dict(make_tiny(0))
+            leaf = doc
+            for key in path[:-1]:
+                leaf = leaf[key]
+            leaf[path[-1]] = x
+            with pytest.raises(ValueError, match="malformed scenario document"):
+                scenario_loads(json.dumps(doc))
+
+
+def test_validate_flags_non_finite_numbers():
+    import dataclasses
+
+    s = make_tiny(0)
+    job = s.jobs[0]
+    rows = [list(r) for r in s.contact_rate]
+    rows[0][0] = math.nan
+
+    def with_job(**changes):
+        return dataclasses.replace(s, jobs=(dataclasses.replace(job, **changes),) + s.jobs[1:])
+
+    for bad in (
+        dataclasses.replace(s, contact_rate=tuple(tuple(r) for r in rows)),
+        with_job(alpha=math.nan),
+        with_job(alpha=math.inf),
+        with_job(tolerable_times=(math.inf,) * len(job.tolerable_times)),
+        dataclasses.replace(s, valuation=ValuationConfig(s.valuation.beta1, math.inf)),
+    ):
+        assert validate_scenario(bad) == ["a number is NaN or infinite"]
+
+
 def test_with_seller_bid():
     s = make_tiny(4)
     sid = s.sellers[0].id

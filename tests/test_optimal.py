@@ -139,26 +139,9 @@ def test_solvers_match_brute_force_on_random_tinies():
 
 def test_pivot_resolves_match_enumeration():
     """Each payment re-solve, the optimum with one winner removed, equals the
-    enumeration oracle's, pairs and objective bits alike."""
-    checked = 0
-    for seed in range(200):
-        s = make_tiny(seed)
-        out = run_optimal_mechanism(s)
-        if out is None:
-            continue
-        for winner in out.payments:
-            excluded = frozenset({winner})
-            res_o = solve_optimal(s, excluded=excluded)
-            res_n = solve_naive(s, excluded=excluded)
-            assert res_o.assignment == res_n.assignment, (seed, winner)
-            assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
-            checked += 1
-    assert checked == 110
-
-
-def test_seeded_pivot_resolves_match_enumeration():
-    """A re-solve on the winner's column dropped from the root market, started
-    from K*, equals the enumeration oracle; so do the payments built on it."""
+    enumeration oracle's, pairs and objective bits alike, whether it compiles
+    its own market or drops the winner's column from the root market; so do
+    the payments built on it."""
     checked = 0
     for seed in range(200):
         s = make_tiny(seed)
@@ -168,12 +151,13 @@ def test_seeded_pivot_resolves_match_enumeration():
         m = Market(s)
         for winner, payment in out.payments.items():
             excluded = frozenset({winner})
-            res_o = solve_optimal(
-                s, excluded=excluded, market=m.without(winner), incumbent=out.assignment
-            )
             res_n = solve_naive(s, excluded=excluded)
-            assert res_o.assignment == res_n.assignment, (seed, winner)
-            assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
+            for res_o in (
+                solve_optimal(s, excluded=excluded),
+                solve_optimal(s, excluded=excluded, market=m.without(winner)),
+            ):
+                assert res_o.assignment == res_n.assignment, (seed, winner)
+                assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
             f_wo = res_n.objective_value if res_n.assignment is not None else 0.0
             assert payment == out.objective_value - f_wo + s.seller(winner).bid
             checked += 1
@@ -220,9 +204,7 @@ def test_tie_break_matches_enumeration_on_swap_ties():
             res_n = solve_naive(s, excluded=excluded)
             for res_o in (
                 solve_optimal(s, excluded=excluded),
-                solve_optimal(
-                    s, excluded=excluded, market=m.without(winner), incumbent=out.assignment
-                ),
+                solve_optimal(s, excluded=excluded, market=m.without(winner)),
             ):
                 assert res_o.assignment == res_n.assignment, (seed, winner)
                 assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
@@ -242,35 +224,6 @@ def test_large_exact_auction_completes():
     assert run.objective_value >= matching.objective_value - TOLERANCE
     for sid, payment in run.payments.items():
         assert payment >= s.seller(sid).bid - TOLERANCE
-
-
-def test_infeasible_incumbent_is_ignored():
-    """Incumbents worth more than the optimum, one breaking C4 and one C2,
-    must not prime the bound."""
-    s = make_tiny(0)
-    res = solve_optimal(s)
-    m = Market(s)
-    # Every buyer on its own best seller, shared or not.
-    shared = Assignment.from_pairs(
-        [(b, m.sellers[int(np.argmax(m.uos[i]))]) for i, b in enumerate(m.buyers)]
-    )
-    # The best assignment under C1 and C4 alone.
-    c1_best = max(
-        (
-            Assignment.from_pairs([(m.buyers[i], m.sellers[k]) for i, k in enumerate(cols)])
-            for cols in itertools.permutations(range(len(m.sellers)), len(m.buyers))
-            if all(m.feasible[i, k] for i, k in enumerate(cols))
-        ),
-        key=lambda a: objective(s, a),
-    )
-    assert not shared.is_one_to_one()
-    assert c1_best.is_one_to_one()
-    for bogus in (shared, c1_best):
-        assert not assignment_feasible(s, bogus, require_complete=True)
-        assert objective(s, bogus) > res.objective_value + 1e-6
-        seeded = solve_optimal(s, incumbent=bogus)
-        assert seeded.assignment == res.assignment
-        assert repr(seeded.objective_value) == repr(res.objective_value)
 
 
 def test_single_provider_matches_hungarian_oracle():
