@@ -11,6 +11,7 @@ from vcauction import (
     Assignment,
     BudgetExceeded,
     BuyerId,
+    GenConfig,
     GraphJob,
     JobEdge,
     Market,
@@ -135,6 +136,29 @@ def test_solvers_match_brute_force_on_random_tinies():
             assert res_n.objective_value == pytest.approx(oracle, abs=1e-9)
             assert res_o.objective_value == pytest.approx(oracle, abs=1e-9)
             assert res_o.assignment == res_n.assignment
+
+
+def test_c2_binding_solves_match_enumeration():
+    """Where contacts decay fast, the root assignment often breaks C2 and
+    phase 1 must search past its first completion. The auction, root and
+    payments, still equals the one built on the enumeration oracle."""
+    cfg = GenConfig(job_types=(1,), sp_count=3, vms_per_sp=(1, 2), lambda_range=(0.2, 0.3))
+    searched = 0
+    for seed in range(50):
+        s = generate(cfg, seed=seed)
+        root = solve_naive(s)
+        out = run_optimal_mechanism(s)
+        if root.assignment is None:
+            assert out is None, seed
+            continue
+        assert out.assignment == root.assignment, seed
+        assert repr(out.objective_value) == repr(root.objective_value), seed
+        for winner, payment in out.payments.items():
+            without = solve_naive(s, excluded=frozenset({winner}))
+            f_wo = without.objective_value if without.assignment is not None else 0.0
+            assert payment == root.objective_value - f_wo + s.seller(winner).bid, (seed, winner)
+        searched += out.explored_nodes > 0
+    assert searched >= 10
 
 
 def test_pivot_resolves_match_enumeration():
