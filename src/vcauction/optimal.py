@@ -163,9 +163,6 @@ def solve_optimal(
     order = sorted(range(nb), key=lambda bi: (len(candidates[bi]), bi))
     nodes = 0
 
-    def worth(assigned: list[int]) -> float:
-        return sum(uos[bi][si] for bi, si in enumerate(assigned))
-
     def check_deadline() -> None:
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded("optimal solve exceeded its budget")
@@ -262,7 +259,7 @@ def solve_optimal(
     # costs of its pairs against the root duals, so a seller whose reduced
     # cost, with those of the fixed pairs, drops the ceiling below `target`
     # needs no test.
-    target = worth(witness) - TOLERANCE
+    target = sum(uos[bi][si] for bi, si in enumerate(witness)) - TOLERANCE
     v = root[3]
     u = [max(uos[bi][si] - v[si] for si in candidates[bi]) for bi in range(nb)]
     ceiling = sum(u) + sum(v)
