@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -173,6 +174,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _budget_secs(text: str) -> float:
+    """A finite `--budget-secs`: NaN or an infinity would never expire."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number of seconds")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vcauction", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -190,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", choices=MECHANISMS, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write result JSON here")
-    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
+    p.add_argument("--budget-secs", type=_budget_secs, default=DEFAULT_BUDGET_SECS)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("experiment", help="batch mechanism comparison")
@@ -200,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="summary JSON path (CSV written beside it)")
-    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
+    p.add_argument("--budget-secs", type=_budget_secs, default=DEFAULT_BUDGET_SECS)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("verify", help="audit rationality and bid sweeps")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--mechanism", choices=("opt", "maxuosg"), default="maxuosg")
     p.add_argument("--out", help="report JSON path (CSV written beside it)")
-    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
+    p.add_argument("--budget-secs", type=_budget_secs, default=DEFAULT_BUDGET_SECS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="runtime scaling table")
@@ -215,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sp-range", default="1:5", help="provider counts LO:HI inclusive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="rows JSON path (CSV written beside it)")
-    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET_SECS)
+    p.add_argument("--budget-secs", type=_budget_secs, default=DEFAULT_BUDGET_SECS)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -99,7 +99,8 @@ def objective(s: Scenario, a: Assignment) -> float:
 
 
 class Market:
-    """A scenario compiled once for the mechanisms; never mutated after build.
+    """A scenario compiled once for the mechanisms; never mutated after build,
+    but for the memo of `edge_lists`.
 
     Rows follow `Scenario.buyers`; columns are sellers in `SellerId` order,
     whatever the order of `s.sellers`. Excluded sellers are dropped, not
@@ -158,6 +159,7 @@ class Market:
             i, j = row[n, e.x1], row[n, e.x2]
             self.edges[i].append((j, allowed))
             self.edges[j].append((i, allowed))
+        self._edge_lists: list | None = None
 
     def with_bid(self, sid: SellerId, bid: float) -> "Market":
         """A copy in which one seller reports `bid`; coverage and C2 are shared."""
@@ -187,8 +189,14 @@ class Market:
 
     def edge_lists(self) -> list[list[tuple[int, list[list[bool]]]]]:
         """`edges` with Python-list tables, for per-node loops where indexing
-        numpy scalars would be slower."""
-        return [[(j, allowed.tolist()) for j, allowed in nbrs] for nbrs in self.edges]
+        numpy scalars would be slower.
+
+        Built on the first call and kept: `with_bid` and `without` copies
+        share C2, so a copy made after that call returns the same object.
+        Callers must not mutate it."""
+        if self._edge_lists is None:
+            self._edge_lists = [[(j, allowed.tolist()) for j, allowed in nbrs] for nbrs in self.edges]
+        return self._edge_lists
 
     def objective(self, pairs) -> float:
         """`objective` from the compiled values, which may carry a bid that

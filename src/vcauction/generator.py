@@ -19,6 +19,7 @@ from .model import (
     ServiceProvider,
     ValuationConfig,
     VirtualMachine,
+    _integral,
     expand_vms,
     max_rank_for,
     validate_scenario,
@@ -299,17 +300,17 @@ def config_from_dict(doc: dict) -> GenConfig:
     try:
         custom = tuple(
             JobTypeSpec(
-                int(t["type_id"]),
-                int(t["component_count"]),
-                tuple((int(a), int(b)) for a, b in t["edge_list"]),
+                _integral(t["type_id"]),
+                _integral(t["component_count"]),
+                tuple((_integral(a), _integral(b)) for a, b in t["edge_list"]),
             )
             for t in doc.get("custom_types", [])
         )
         pair = lambda key: (float(doc[key][0]), float(doc[key][1]))
         return GenConfig(
-            job_types=tuple(int(t) for t in doc["job_types"]),
-            sp_count=int(doc["sp_count"]),
-            vms_per_sp=(int(doc["vms_per_sp"][0]), int(doc["vms_per_sp"][1])),
+            job_types=tuple(_integral(t) for t in doc["job_types"]),
+            sp_count=_integral(doc["sp_count"]),
+            vms_per_sp=(_integral(doc["vms_per_sp"][0]), _integral(doc["vms_per_sp"][1])),
             epsilon_range=pair("epsilon_range"),
             alpha_range=pair("alpha_range"),
             base_time_range=pair("base_time_range"),
@@ -319,7 +320,7 @@ def config_from_dict(doc: dict) -> GenConfig:
             beta1_range=pair("beta1_range"),
             beta2_range=pair("beta2_range"),
             coverage_density=float(doc.get("coverage_density", 1.0)),
-            seed=int(doc.get("seed", 0)),
+            seed=_integral(doc.get("seed", 0)),
             custom_types=custom,
         )
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:

@@ -343,8 +343,8 @@ def verify_report(
             }
         )
 
+    market = Market(s)  # shared by the report and every sweep
     if mechanism == "maxuosg":
-        market = Market(s)
         lists = {b: build_buyer_list(s, b, market=market) for b in s.buyers}
         report["buyer_lists"] = serialize_buyer_lists(lists)
         broker = build_broker_list(market)
@@ -358,7 +358,7 @@ def verify_report(
     sweep_of = verify_truthfulness_opt if mechanism == "opt" else verify_truthfulness_matching
     for sid in sorted(run.payments):
         try:
-            sweep = sweep_of(s, sid, deadline=deadline)
+            sweep = sweep_of(s, sid, market=market, deadline=deadline)
         except BudgetExceeded:
             report["truncated"] = True
             break

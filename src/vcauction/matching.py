@@ -17,10 +17,14 @@ the entry immediately behind it in that buyer's list, so payment always
 covers the bid.
 
 The pipeline reads the compiled `Market` by index: the broker list is one
-sort of the feasible cells into buyer, seller and value arrays, the scan
-checks C2 with the helper the exact solvers use, and pricing reads the
-next entry of the winner's buyer from the same arrays. `PrefEntry` and
-`build_buyer_list` are the per-buyer view that `verify` serialises.
+sort of the feasible cells into buyer, seller and value arrays, and the scan
+checks C2 with the helper the exact solvers use, on the market's memoised
+list form of the C2 tables. Pricing walks the same arrays once for all
+winners, finding each buyer's winning entry and the entry behind it, and
+sums the objective from the winning entries. The bid sweep compiles the
+market once (or takes the caller's) and re-prices one column of it per
+grid point. `PrefEntry` and `build_buyer_list` are the per-buyer view that
+`verify` serialises.
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ __all__ = [
     "build_broker_list",
     "match",
     "matching_payment",
+    "matching_payments",
     "run_matching",
     "verify_truthfulness_matching",
 ]
@@ -251,22 +256,54 @@ def match(
             trace.append(("prune", pos))
 
 
-def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: SellerId) -> float:
-    """Winner's buyer-side value minus the next entry's value in that
-    buyer's list: its next entry in broker order, or the virtual critical
-    one. Since lists are sorted, payment never drops below the bid.
+def matching_payments(
+    broker: BrokerPrefList, assignment: Assignment
+) -> tuple[float, dict[SellerId, float]]:
+    """The objective of `assignment` and every winner's payment, from one
+    walk of the broker list.
+
+    A winner is paid its buyer-side value minus the value of the entry
+    behind it in that buyer's list: the buyer's next entry in broker order,
+    or the virtual critical one. Since lists are sorted, payment never drops
+    below the bid. The objective sums the winners' entries in row order,
+    which is `BuyerId` order, so it equals `Market.objective` bit for bit.
+    Payments follow `assignment.pairs`.
     """
+    m = broker.market
+    rows = [m.buyer_index[b] for b, _ in assignment.pairs]
+    cols = [m.seller_index.get(sid, -1) for _, sid in assignment.pairs]
+    want = [-1] * len(m.buyers)
+    for bi, si in zip(rows, cols):
+        want[bi] = si
+    own: list[float | None] = [None] * len(m.buyers)
+    behind: list[float | None] = [None] * len(m.buyers)
+    left = len(rows)
+    for bi, si, v in zip(broker.buyer.tolist(), broker.seller.tolist(), broker.value.tolist()):
+        if own[bi] is None:
+            if si == want[bi]:
+                own[bi] = v
+        elif behind[bi] is None:
+            behind[bi] = v
+            left -= 1
+            if not left:
+                break
+    payments = {}
+    for (buyer, sid), bi, si in zip(assignment.pairs, rows, cols):
+        value, after = own[bi], behind[bi]
+        if value is None:
+            raise ValueError(f"{sid.label()} not in {buyer.label()}'s list")
+        if after is None:
+            after = value - DEFAULT_DELTA  # the virtual critical entry
+        payments[sid] = m.gross[bi, si].item() - after
+    return sum([own[bi] for bi in sorted(rows)], 0.0), payments
+
+
+def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: SellerId) -> float:
+    """`matching_payments` for one winner of `assignment`."""
     buyer = assignment.buyer_of(winner)
     if buyer is None:
         raise ValueError(f"{winner.label()} is not a winner")
-    m = broker.market
-    bi, si = m.buyer_index[buyer], m.seller_index.get(winner)
-    own = broker.buyer == bi
-    sellers, values = broker.seller[own].tolist(), broker.value[own].tolist()
-    if si not in sellers:
-        raise ValueError(f"{winner.label()} not in {buyer.label()}'s list")
-    values.append(values[-1] - DEFAULT_DELTA)  # the virtual critical entry
-    return m.gross[bi, si].item() - values[sellers.index(si) + 1]
+    return matching_payments(broker, Assignment(((buyer, winner),)))[1][winner]
 
 
 def run_matching(s: Scenario, *, deadline: float | None = None) -> MatchingOutcome:
@@ -284,8 +321,8 @@ def _run(
     assignment, trace = match(s, broker, deadline=deadline)
     if assignment is None:
         return MatchingOutcome(None, 0.0, {}, trace), broker
-    payments = {sid: matching_payment(broker, assignment, sid) for _, sid in assignment.pairs}
-    return MatchingOutcome(assignment, market.objective(assignment.pairs), payments, trace), broker
+    objective, payments = matching_payments(broker, assignment)
+    return MatchingOutcome(assignment, objective, payments, trace), broker
 
 
 def _classify(utility: float, truthful_utility: float, won: bool) -> str:
@@ -300,7 +337,9 @@ def _classify(utility: float, truthful_utility: float, won: bool) -> str:
     return "no-gain"
 
 
-def verify_truthfulness_matching(s: Scenario, sid: SellerId, *, deadline: float | None = None) -> dict:
+def verify_truthfulness_matching(
+    s: Scenario, sid: SellerId, *, market: Market | None = None, deadline: float | None = None
+) -> dict:
     """Sweep one seller's bid over `default_bid_grid(q)` through the full
     matching pipeline.
 
@@ -308,11 +347,14 @@ def verify_truthfulness_matching(s: Scenario, sid: SellerId, *, deadline: float 
     utility and broker list are what every row is compared with. Each row
     records the misreport outcome and whether the perturbation left the
     broker list's pair order unchanged (the regime where no misreport should
-    ever beat truth-telling). Every scan stops with BudgetExceeded past the
-    `perf_counter` time `deadline`.
+    ever beat truth-telling). `market` is `s` compiled, when the caller
+    already has it; every grid point re-prices one column of it. Every scan
+    stops with BudgetExceeded past the `perf_counter` time `deadline`.
     """
     q = s.seller(sid).true_value
-    market = Market(s)
+    if market is None:
+        market = Market(s)
+    market.edge_lists()  # filled once, shared by every grid point's copy
     rows, shapes = [], []
     for bid in default_bid_grid(q):
         outcome, broker = _run(s, market.with_bid(sid, bid), deadline)

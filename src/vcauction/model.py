@@ -439,15 +439,27 @@ def _finite(x) -> float:
     return out
 
 
+def _integral(x) -> int:
+    """`int(x)`, refusing a number with a fractional part, which `int` would
+    truncate; an integral float such as 2.0 is read as 2."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"number {x} is not an integer")
+    return int(x)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         jobs = tuple(
             GraphJob(
-                owner_index=int(j["owner_index"]),
+                owner_index=_integral(j["owner_index"]),
                 alpha=_finite(j["alpha"]),
                 tolerable_times=tuple(_finite(c["tolerable_time"]) for c in j["components"]),
                 edges=tuple(
-                    JobEdge(int(e["endpoints"][0]), int(e["endpoints"][1]), _finite(e["weight"]))
+                    JobEdge(
+                        _integral(e["endpoints"][0]),
+                        _integral(e["endpoints"][1]),
+                        _finite(e["weight"]),
+                    )
                     for e in j["edges"]
                 ),
             )
@@ -455,22 +467,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
         sps = tuple(
             ServiceProvider(
-                index=int(p["index"]),
+                index=_integral(p["index"]),
                 vms=tuple(
-                    VirtualMachine(_finite(v["base_time"]), int(v["max_rank"]))
+                    VirtualMachine(_finite(v["base_time"]), _integral(v["max_rank"]))
                     for v in p["vms"]
                 ),
             )
             for p in doc["sps"]
         )
         contact = tuple(tuple(_finite(x) for x in row) for row in doc["contact_rate"])
-        coverage = tuple(frozenset(int(m) for m in cov) for cov in doc["coverage"])
+        coverage = tuple(frozenset(_integral(m) for m in cov) for cov in doc["coverage"])
         valuation = ValuationConfig(
             beta1=_finite(doc["valuation"]["beta1"]),
             beta2=_finite(doc["valuation"]["beta2"]),
         )
         epsilon = _finite(doc["epsilon"])
-        seed = int(doc["seed"])
+        seed = _integral(doc["seed"])
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed scenario document: {exc}") from exc
 

@@ -345,18 +345,22 @@ def default_bid_grid(true_value: float) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-def verify_truthfulness_opt(s: Scenario, sid: SellerId, *, deadline: float | None = None) -> dict:
+def verify_truthfulness_opt(
+    s: Scenario, sid: SellerId, *, market: Market | None = None, deadline: float | None = None
+) -> dict:
     """Sweep one seller's reported bid over `default_bid_grid(q)` and compare
     utilities against the truthful q row.
 
     Utility is payment - true_value when the seller wins, else 0. The removal
     term F_without never involves the swept seller's bid, so it is computed
-    once. The scenario is compiled once; each grid point re-prices one column.
-    The report flags any bid whose utility beats the truthful one. Every
-    solve stops with BudgetExceeded past the `perf_counter` time `deadline`.
+    once. `market` is `s` compiled, when the caller already has it; each grid
+    point re-prices one column of it. The report flags any bid whose utility
+    beats the truthful one. Every solve stops with BudgetExceeded past the
+    `perf_counter` time `deadline`.
     """
     q = s.seller(sid).true_value
-    m = Market(s)
+    m = market if market is not None else Market(s)
+    m.edge_lists()  # filled once, shared by the re-solves' copies
     without = solve_optimal(
         s, excluded=frozenset({sid}), market=m.without(sid), deadline=deadline
     )

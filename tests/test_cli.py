@@ -112,6 +112,16 @@ def test_non_finite_input_exits_2(tmp_path, tiny_scenario_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_budget_is_a_usage_error(tiny_scenario_file, capsys):
+    """A NaN or infinite budget would never expire, so argparse refuses it."""
+    for budget in ("nan", "inf", "-inf"):
+        for argv in (["verify", tiny_scenario_file], ["solve", tiny_scenario_file, "--mechanism", "opt"]):
+            assert main(argv + [f"--budget-secs={budget}"]) == 2
+            assert "not a finite number of seconds" in capsys.readouterr().err
+    assert main(["verify", tiny_scenario_file, "--budget-secs", "1e3"]) == 0
+    capsys.readouterr()
+
+
 def test_verify_matching(tmp_path, tiny_scenario_file, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", tiny_scenario_file, "--out", str(out)]) == 0
@@ -157,11 +167,11 @@ def test_verify_budget_exceeded_inside_the_sweeps(tmp_path, monkeypatch, capsys)
     speed, is reported as such, and is no violation."""
     calls = []
 
-    def second_call_runs_out(s, sid, *, deadline=None):
+    def second_call_runs_out(s, sid, **kwargs):
         calls.append(sid)
         if len(calls) == 2:
             raise BudgetExceeded("sweep stopped")
-        return verify_truthfulness_opt(s, sid, deadline=deadline)
+        return verify_truthfulness_opt(s, sid, **kwargs)
 
     monkeypatch.setattr(harness, "verify_truthfulness_opt", second_call_runs_out)
     path = tmp_path / "small.json"

@@ -177,3 +177,16 @@ def test_config_round_trip():
     assert back == cfg
     with pytest.raises(ValueError):
         config_from_dict({"job_types": [1]})
+
+
+def test_config_rejects_fractional_integers():
+    """`sp_count`, `vms_per_sp` and `job_types` holding a fractional number
+    are malformed, not truncated; integral floats still load."""
+    base = config_to_dict(preset("small"))
+    for key, bad in (("sp_count", 2.5), ("vms_per_sp", [1, 2.5]), ("job_types", [1.5])):
+        with pytest.raises(ValueError, match="malformed config document"):
+            config_from_dict({**base, key: bad})
+    doc = {**base, "sp_count": 3.0, "vms_per_sp": [1.0, 2.0], "job_types": [2.0]}
+    assert config_from_dict(doc) == dataclasses.replace(
+        preset("small"), sp_count=3, vms_per_sp=(1, 2), job_types=(2,)
+    )

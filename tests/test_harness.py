@@ -25,6 +25,7 @@ from vcauction import (
     serialize_buyer_lists,
     solve_optimal,
     verify_report,
+    verify_truthfulness_matching,
     verify_truthfulness_opt,
 )
 import vcauction.harness as harness
@@ -181,6 +182,51 @@ def test_verify_report_exact_solver():
     assert "buyer_lists" not in report
 
 
+def test_shared_market_changes_no_audit():
+    """`verify_report` compiles one market for all its sweeps; each sweep
+    entry and row equals that of the sweep run on its own."""
+    cases = [(generate(preset("small"), seed=seed), "maxuosg") for seed in range(4)]
+    cases.append((make_tiny(0), "opt"))
+    for s, mechanism in cases:
+        sweep_of = verify_truthfulness_opt if mechanism == "opt" else verify_truthfulness_matching
+        report, rows = verify_report(s, mechanism)
+        assert report["success"] and not report["truncated"] and report["sweeps"]
+        expected_sweeps, expected_rows = [], []
+        for w in sorted(report["winners"], key=lambda w: w["seller"]):
+            alone = sweep_of(s, SellerId(*w["seller"]))
+            expected_sweeps.append(
+                {
+                    "seller": w["seller"],
+                    "true_value": alone["true_value"],
+                    "truthful_utility": alone["truthful_utility"],
+                }
+            )
+            expected_rows += [
+                {
+                    "seller": "%d:%d:%d" % tuple(w["seller"]),
+                    "bid": r["bid"],
+                    "won": int(r["won"]),
+                    "payment": "" if r["payment"] is None else r["payment"],
+                    "utility": r["utility"],
+                    "classification": r.get("classification", ""),
+                    "order_preserved": int(r.get("order_preserved", False)),
+                }
+                for r in alone["rows"]
+            ]
+        assert report["sweeps"] == expected_sweeps
+        assert rows == expected_rows
+
+
+def test_market_copies_share_the_edge_lists():
+    s = generate(preset("small"), seed=0)
+    m = Market(s)
+    sid = m.sellers[0]
+    lists = m.edge_lists()
+    assert m.edge_lists() is lists
+    assert m.with_bid(sid, 0.5).edge_lists() is lists
+    assert m.without(sid).edge_lists() is lists
+
+
 def test_verify_report_budget_bounds_the_exact_sweeps():
     """The budget covers the exact auction and its bid sweeps together. On
     C2-binding `small` seed 2 (the golden `c2` config) the whole audit takes
@@ -201,11 +247,11 @@ def test_verify_report_truncates_inside_the_sweeps(monkeypatch):
     sweep, keeps the auction and the first sweep, whatever the speed."""
     calls = []
 
-    def second_call_runs_out(s, sid, *, deadline=None):
+    def second_call_runs_out(s, sid, **kwargs):
         calls.append(sid)
         if len(calls) == 2:
             raise BudgetExceeded("sweep stopped")
-        return verify_truthfulness_opt(s, sid, deadline=deadline)
+        return verify_truthfulness_opt(s, sid, **kwargs)
 
     monkeypatch.setattr(harness, "verify_truthfulness_opt", second_call_runs_out)
     report, rows = verify_report(generate(preset("small"), seed=0), "opt")

@@ -20,8 +20,10 @@ from vcauction import (
     build_broker_list,
     build_buyer_list,
     generate,
+    gross_utility,
     match,
     matching_payment,
+    matching_payments,
     pair_feasible,
     preset,
     run_matching,
@@ -329,6 +331,34 @@ def test_payment_errors():
     off_list = Assignment.from_pairs([(b, priced_out)])
     with pytest.raises(ValueError, match="not in .*'s list"):
         matching_payment(broker, off_list, priced_out)
+    # The one-pass function prices the assignment's own pairs, so only the
+    # off-list error can arise there.
+    with pytest.raises(ValueError, match="not in .*'s list"):
+        matching_payments(broker, off_list)
+
+
+def test_one_pass_pricing_matches_the_buyer_lists():
+    """Every winner's payment is its gross value minus the value of the next
+    entry in its buyer's own list, virtual entry included, and the objective
+    is the compiled market's, bit for bit."""
+    cases = [make_tiny(seed) for seed in range(200)]
+    cases += [generate(preset("small"), seed=seed) for seed in range(20)]
+    cases += [generate(preset("large"), seed=seed) for seed in range(10)]
+    priced = virtual = 0
+    for s in cases:
+        out = run_matching(s)
+        if not out.success:
+            continue
+        assert out.objective_value == Market(s).objective(out.assignment.pairs)
+        assert list(out.payments) == [sid for _, sid in out.assignment.pairs]
+        for buyer, sid in out.assignment.pairs:
+            entries = build_buyer_list(s, buyer).entries
+            at = next(i for i, e in enumerate(entries) if e.seller == sid)
+            gross = s.alpha(buyer) * gross_utility(s.tolerable_time(buyer), s.seller(sid).capability)
+            assert out.payments[sid] == gross - entries[at + 1].value
+            priced += 1
+            virtual += entries[at + 1].is_virtual
+    assert priced >= 400 and virtual >= 40
 
 
 def test_payments_cover_bids_everywhere():

@@ -220,6 +220,27 @@ def test_loads_rejects_non_finite_numbers():
                 scenario_loads(json.dumps(doc))
 
 
+def test_loads_rejects_fractional_integers():
+    """An integer field holding a fractional number is malformed, not
+    truncated; an integral float still loads."""
+    base = scenario_to_dict(make_tiny(0))
+    for path in (("seed",), ("sps", 0, "vms", 0, "max_rank"), ("coverage", 0, 0)):
+        for x, ok in ((2.7, False), (1.9, False), (1.0, True)):
+            doc = json.loads(json.dumps(base))
+            leaf = doc
+            for key in path[:-1]:
+                leaf = leaf[key]
+            leaf[path[-1]] = x
+            if ok:
+                scenario_loads(json.dumps(doc))
+            else:
+                with pytest.raises(ValueError, match="malformed scenario document"):
+                    scenario_loads(json.dumps(doc))
+    doc = json.loads(json.dumps(base))
+    doc["seed"] = 2.0
+    assert scenario_loads(json.dumps(doc)).seed == 2
+
+
 def test_validate_flags_non_finite_numbers():
     import dataclasses
 
