@@ -175,10 +175,21 @@ def cmd_bench(args) -> int:
 
 
 def _budget_secs(text: str) -> float:
-    """A finite `--budget-secs`: NaN or an infinity would never expire."""
+    """A finite `--budget-secs` of at least 0: NaN or an infinity would never
+    expire, and a negative budget is spent before the run starts."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text} is not a finite number of seconds")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is a negative number of seconds")
+    return value
+
+
+def _trials(text: str) -> int:
+    """A `--trials` count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive number of trials")
     return value
 
 
@@ -206,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group()
     src.add_argument("--preset", choices=PRESET_NAMES, default="small")
     src.add_argument("--config", help="generator config JSON file")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_trials, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="summary JSON path (CSV written beside it)")
     p.add_argument("--budget-secs", type=_budget_secs, default=DEFAULT_BUDGET_SECS)

@@ -28,7 +28,6 @@ grid point. `PrefEntry` and `build_buyer_list` are the per-buyer view that
 """
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, BuyerId, Scenario, SellerId
-from .economics import Market, _edges_ok, _max_assignment
+from .economics import Market, _edges_ok
 from .optimal import BudgetExceeded, default_bid_grid
 
 __all__ = [
@@ -137,6 +136,51 @@ def build_broker_list(market: Market) -> BrokerPrefList:
     return BrokerPrefList(market, rows[order], cols[order], values[order])
 
 
+def _all_rows_matched(rows: list[list[int]], n_cols: int) -> bool:
+    """Whether a matching gives every row its own column, `rows[r]` listing
+    row r's allowed columns.
+
+    Augmenting paths (Kuhn 1955): rows are inserted one at a time. A row
+    takes its first free column; failing that, a depth-first search on an
+    explicit stack, never entering a column twice, looks for a path of
+    matched columns that ends at a free one, and flips it.
+    """
+    row_of = [-1] * n_cols
+    for start, cols in enumerate(rows):
+        for j in cols:
+            if row_of[j] < 0:
+                row_of[j] = start
+                break
+        else:
+            seen = [False] * n_cols
+            # path[k] is a row on the path, tried up to next_cell[k]; the
+            # rows after it were reached through column via[k].
+            path, next_cell, via = [start], [0], []
+            while path:
+                cells, k = rows[path[-1]], next_cell[-1]
+                if k == len(cells):
+                    path.pop()
+                    next_cell.pop()
+                    if via:
+                        via.pop()
+                    continue
+                next_cell[-1] = k + 1
+                j = cells[k]
+                if seen[j]:
+                    continue
+                seen[j] = True
+                via.append(j)
+                if row_of[j] < 0:
+                    for r, j in zip(path, via):
+                        row_of[j] = r
+                    break
+                path.append(row_of[j])
+                next_cell.append(0)
+            else:
+                return False
+    return True
+
+
 def match(
     s: Scenario, broker: BrokerPrefList, *, deadline: float | None = None
 ) -> tuple[Assignment | None, tuple[tuple, ...]]:
@@ -153,8 +197,9 @@ def match(
     From the first dead end on, the scan prunes: a state whose open buyers
     cannot all get distinct free sellers from their entries at or past the
     resume position, C2-compatible with the placed buyers, holds no
-    completion. It is recorded as ("prune", position) and left as a dead
-    end, so the first completion found is the unpruned scan's. If the
+    completion. `_all_rows_matched` answers that by unweighted augmenting
+    paths. Such a state is recorded as ("prune", position) and left as a
+    dead end, so the first completion found is the unpruned scan's. If the
     buyers cannot get distinct sellers from their whole lists, the scan
     fails there. Deletes and restarts raise BudgetExceeded past the
     `perf_counter` time `deadline`.
@@ -189,14 +234,14 @@ def match(
         for bi, own in enumerate(positions):
             if seller_of[bi] < 0:
                 cells = [
-                    (es[i], 0.0)
+                    es[i]
                     for i in own[bisect_left(own, start):]
                     if not taken[es[i]] and _edges_ok(edges, sp_of, seller_of, bi, es[i])
                 ]
                 if not cells:
                     return False
                 rows.append(cells)
-        return _max_assignment(rows, n_sellers)[0] > -math.inf
+        return _all_rows_matched(rows, n_sellers)
 
     L = len(eb)
     stack: list[int] = [0]
@@ -228,8 +273,7 @@ def match(
             positions = [[] for _ in range(total_buyers)]
             for i, bi in enumerate(eb):
                 positions[bi].append(i)
-            whole = [[(es[i], 0.0) for i in own] for own in positions]
-            if _max_assignment(whole, n_sellers)[0] == -math.inf:
+            if not _all_rows_matched([[es[i] for i in own] for own in positions], n_sellers):
                 trace += [("prune", 0), ("fail",)]
                 return None, tuple(trace)
         # Backtrack until a state passes the prune test.

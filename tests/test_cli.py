@@ -122,6 +122,29 @@ def test_non_finite_budget_is_a_usage_error(tiny_scenario_file, capsys):
     capsys.readouterr()
 
 
+def test_negative_budget_is_a_usage_error(tiny_scenario_file, capsys):
+    """A negative budget is spent before the run starts, so argparse refuses
+    it, even where the run would never read the clock; 0 stays valid."""
+    for argv in (
+        ["verify", tiny_scenario_file],
+        ["solve", tiny_scenario_file, "--mechanism", "maxuosg"],
+        ["solve", tiny_scenario_file, "--mechanism", "opt"],
+    ):
+        assert main(argv + ["--budget-secs", "-1"]) == 2
+        assert "-1 is a negative number of seconds" in capsys.readouterr().err
+    assert main(["solve", tiny_scenario_file, "--mechanism", "maxuosg", "--budget-secs", "0"]) == 0
+    capsys.readouterr()
+
+
+def test_trials_below_one_is_a_usage_error(tmp_path, tiny_config_file, capsys):
+    out = tmp_path / "exp.json"
+    for trials in ("0", "-2"):
+        argv = ["experiment", "--config", tiny_config_file, "--trials", trials, "--out", str(out)]
+        assert main(argv) == 2
+        assert "not a positive number of trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_matching(tmp_path, tiny_scenario_file, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", tiny_scenario_file, "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Valuation, UoS and constraint-rule tests, including a worked three-provider case."""
 import dataclasses
 import itertools
+import sys
 
 import math
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from vcauction import (
     Assignment,
@@ -33,6 +36,7 @@ from vcauction import (
 )
 
 from vcauction.economics import _max_assignment
+from vcauction.matching import _all_rows_matched
 
 from helpers import make_tiny, three_provider_scenario
 
@@ -306,6 +310,54 @@ def test_max_assignment_equals_scipy(problem):
         assert got == -math.inf
         return
     assert got == pytest.approx(-cost[r_idx, c_idx].sum(), abs=1e-9)
+
+
+@st.composite
+def cover_problems(draw):
+    """`(n_cols, rows)`: 0-7 rows of allowed columns, each in shuffled order,
+    on 0-7 columns, so the shape may be tall, square or wide and a row may
+    allow no column."""
+    n_rows, n_cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    density = draw(st.floats(0.0, 1.0))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [[j for j in range(n_cols) if rnd.random() < density] for _ in range(n_rows)]
+    for cols in rows:
+        rnd.shuffle(cols)
+    return n_cols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_problems())
+def test_hall_kernel_equals_scipy(problem):
+    """The scan's Hall test says a matching covers every row exactly when
+    scipy's maximum bipartite matching matches every row."""
+    n_cols, rows = problem
+    allowed = np.zeros((len(rows), n_cols), dtype=np.int8)
+    for r, cols in enumerate(rows):
+        allowed[r, cols] = 1
+    if rows and n_cols:
+        want = bool((maximum_bipartite_matching(csr_matrix(allowed), perm_type="column") >= 0).all())
+    else:
+        want = not rows
+    assert _all_rows_matched(rows, n_cols) is want
+
+
+def test_hall_kernel_walks_a_path_longer_than_the_recursion_limit():
+    """Row i takes column i, then the last row's only column 0 is won back
+    by one augmenting path through every row, with no RecursionError."""
+    n = sys.getrecursionlimit() + 500
+    rows = [[i, i + 1] for i in range(n - 1)] + [[0]]
+    assert _all_rows_matched(rows, n)
+    assert not _all_rows_matched(rows + [[n - 1]], n)
+
+
+def test_hall_kernel_fails_hall_violations():
+    # Rows 0 and 2 share their only column; three rows on two columns.
+    assert not _all_rows_matched([[0], [0, 1], [0]], 3)
+    assert not _all_rows_matched([[0, 1], [1, 0], [0, 1]], 2)
+    assert not _all_rows_matched([[0], []], 2)
+    assert _all_rows_matched([[0, 1], [0]], 2)
+    assert _all_rows_matched([], 0)
 
 
 def _all_allowed(w: list[list[float]]) -> tuple:

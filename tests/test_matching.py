@@ -35,6 +35,7 @@ from vcauction.optimal import BudgetExceeded
 import vcauction.matching as matching_module
 
 from helpers import backtrack_scenario, broker_entries, make_tiny, reference_match
+from test_golden import _trace_digest
 from test_optimal import one_sp_scenario
 
 DELTA = 1e-3
@@ -222,6 +223,36 @@ def test_pruned_scan_finishes_where_the_unpruned_one_hangs():
         assert assignment_feasible(s, assignment, require_complete=True)
     _, assignment, trace = _timed_scan(SPARSE, 28)
     assert assignment is None and trace[-1] == ("fail",)
+
+
+def test_prune_heavy_c2_scan_frozen():
+    """C2-binding `large` seed 5 prunes 11,842 states, since the Hall test
+    relaxes C2 between open buyers. Its event counts, trace and assignment
+    are frozen; a 30 s deadline turns a hang into a failure."""
+    s = generate(dataclasses.replace(preset("large"), lambda_range=(0.2, 0.3)), seed=5)
+    assignment, trace = match(
+        s, build_broker_list(Market(s)), deadline=time.perf_counter() + 30.0
+    )
+    assert collections.Counter(ev[0] for ev in trace) == {
+        "accept": 11862,
+        "skip": 69090,
+        "reject": 6342,
+        "delete": 11843,
+        "prune": 11842,
+        "complete": 1,
+    }
+    assert _trace_digest(trace) == "973823eb6560c61f"
+    assert [
+        (b.job_index, b.component_index, sid.sp_index, sid.vm_index, sid.rank)
+        for b, sid in assignment.pairs
+    ] == [
+        (0, 0, 3, 3, 1), (0, 1, 2, 2, 1), (0, 2, 3, 2, 1), (0, 3, 3, 0, 1),
+        (1, 0, 4, 0, 1), (1, 1, 4, 4, 1), (1, 2, 4, 2, 1), (1, 3, 4, 1, 1),
+        (2, 0, 2, 4, 1), (2, 1, 2, 3, 1), (2, 2, 2, 1, 1), (2, 3, 2, 0, 1),
+        (2, 4, 3, 1, 1), (3, 0, 1, 0, 1), (3, 1, 1, 1, 1), (3, 2, 1, 3, 1),
+        (3, 3, 1, 2, 1), (3, 4, 0, 2, 1), (3, 5, 0, 3, 1),
+    ]
+    assert assignment_feasible(s, assignment, require_complete=True)
 
 
 def test_root_test_fails_buyers_that_cannot_share_the_sellers():
