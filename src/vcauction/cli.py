@@ -150,13 +150,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lo, sep, hi = args.sp_range.partition(":")
-    if not sep:
-        raise ValueError("--sp-range expects LO:HI")
-    sp_counts = list(range(int(lo), int(hi) + 1))
     rows = bench_sweep(
         args.job_type,
-        sp_counts,
+        args.sp_range,
         base_seed=args.seed,
         budget_secs=args.budget_secs,
     )
@@ -191,6 +187,16 @@ def _trials(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a positive number of trials")
     return value
+
+
+def _sp_range(text: str) -> list[int]:
+    """A `--sp-range` LO:HI, inclusive, with LO <= HI, as its provider counts."""
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"{text} is not LO:HI")
+    if int(lo) > int(hi):
+        raise argparse.ArgumentTypeError(f"{text} is an empty range: LO is above HI")
+    return list(range(int(lo), int(hi) + 1))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="runtime scaling table")
     p.add_argument("--job-type", type=int, default=2)
-    p.add_argument("--sp-range", default="1:5", help="provider counts LO:HI inclusive")
+    p.add_argument(
+        "--sp-range", type=_sp_range, default="1:5", help="provider counts LO:HI inclusive"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="rows JSON path (CSV written beside it)")
     p.add_argument("--budget-secs", type=_budget_secs, default=DEFAULT_BUDGET_SECS)

@@ -228,60 +228,95 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> tuple:
     with u_r + v_j >= w_rj on every allowed cell for u_r = w_r,col[r] - v_col[r].
 
     Shortest augmenting paths (Kuhn 1955; Jonker & Volgenant 1987): each row
-    is inserted by a Dijkstra search over reduced costs u_r + v_j - w_rj,
-    which the row potentials u and the column duals keep non-negative.
+    is inserted by `_insert_row`.
     """
     row_pot = [0.0] * len(rows)
     v = [0.0] * n_cols
     row_of = [-1] * n_cols
     col_of = [-1] * len(rows)
-    for start, cells in enumerate(rows):
-        if not cells:
+    for start in range(len(rows)):
+        if not _insert_row(rows, start, row_pot, v, row_of, col_of):
             return -math.inf, col_of, v
-        row_pot[start] = max(w - v[j] for j, w in cells)
-        dist = [math.inf] * n_cols
-        pred = [-1] * n_cols
-        done = [False] * n_cols
-        scanned: list[int] = []
-        # Columns reached and not yet scanned: the others are at distance inf.
-        reached: list[int] = []
-        r, d_r = start, 0.0
-        while True:
-            base = d_r + row_pot[r]
-            for j, w in cells:
-                nd = base - w + v[j]
-                # A scanned column is final; rounding must not re-route it.
-                if nd < dist[j] and not done[j]:
-                    if pred[j] < 0:
-                        reached.append(j)
-                    dist[j], pred[j] = nd, r
-            # The nearest reached column, the lowest index on ties.
-            j, d_j = -1, math.inf
-            for k in reached:
-                if dist[k] < d_j or (dist[k] == d_j and k < j):
-                    j, d_j = k, dist[k]
-            if j < 0:
-                return -math.inf, col_of, v
-            if row_of[j] < 0:
-                free = j
-                break
-            done[j] = True
-            reached.remove(j)
-            scanned.append(j)
-            r, d_r = row_of[j], d_j
-            cells = rows[r]
-        # Shift potentials so the path found is tight, then flip it. A
-        # scanned column is no farther than the free one, but rounding can
-        # say otherwise: a shift below 0 is skipped so that v >= 0 exactly.
-        d_free = dist[free]
-        row_pot[start] -= d_free
-        for j in scanned:
-            shift = d_free - dist[j]
-            if shift > 0.0:
-                v[j] += shift
-                row_pot[row_of[j]] -= shift
-        j = free
-        while j >= 0:
-            r = pred[j]
-            row_of[j], col_of[r], j = r, j, col_of[r]
-    return sum(w for r, cells in enumerate(rows) for j, w in cells if j == col_of[r]), col_of, v
+    return _matched_value(rows, col_of), col_of, v
+
+
+def _drop_column(rows: list[list[tuple[int, float]]], cols: list[int], v: list[float], k: int):
+    """`_max_assignment(rows, len(v))` warm-started from `(cols, v)`, its
+    answer for the same rows with column `k` also allowed: k's dual goes to
+    0 and the row that held k, if any, is inserted again by one augmenting
+    path (Leonard 1983; Demange, Gale & Sotomayor 1986). Each row potential
+    is read back from v as the row's best w - v. The inputs are not changed.
+    """
+    cols, v = list(cols), list(v)
+    v[k] = 0.0
+    row_of = [-1] * len(v)
+    for r, j in enumerate(cols):
+        row_of[j] = r
+    r = row_of[k]
+    if r >= 0:
+        row_of[k] = cols[r] = -1
+        row_pot = [max((w - v[j] for j, w in cells), default=0.0) for cells in rows]
+        if not _insert_row(rows, r, row_pot, v, row_of, cols):
+            return -math.inf, cols, v
+    return _matched_value(rows, cols), cols, v
+
+
+def _matched_value(rows: list[list[tuple[int, float]]], col_of: list[int]) -> float:
+    return sum(w for r, cells in enumerate(rows) for j, w in cells if j == col_of[r])
+
+
+def _insert_row(rows: list, start: int, row_pot: list, v: list, row_of: list, col_of: list) -> bool:
+    """Match the open row `start` by one shortest augmenting path: a
+    Dijkstra search over reduced costs u_r + v_j - w_rj, which the row
+    potentials u (`row_pot`) and column duals v keep non-negative. Returns
+    False, the matching unchanged, when no path reaches a free column."""
+    cells = rows[start]
+    if not cells:
+        return False
+    row_pot[start] = max(w - v[j] for j, w in cells)
+    dist = [math.inf] * len(v)
+    pred = [-1] * len(v)
+    done = [False] * len(v)
+    scanned: list[int] = []
+    # Columns reached and not yet scanned: the others are at distance inf.
+    reached: list[int] = []
+    r, d_r = start, 0.0
+    while True:
+        base = d_r + row_pot[r]
+        for j, w in cells:
+            nd = base - w + v[j]
+            # A scanned column is final; rounding must not re-route it.
+            if nd < dist[j] and not done[j]:
+                if pred[j] < 0:
+                    reached.append(j)
+                dist[j], pred[j] = nd, r
+        # The nearest reached column, the lowest index on ties.
+        j, d_j = -1, math.inf
+        for k in reached:
+            if dist[k] < d_j or (dist[k] == d_j and k < j):
+                j, d_j = k, dist[k]
+        if j < 0:
+            return False
+        if row_of[j] < 0:
+            free = j
+            break
+        done[j] = True
+        reached.remove(j)
+        scanned.append(j)
+        r, d_r = row_of[j], d_j
+        cells = rows[r]
+    # Shift potentials so the path found is tight, then flip it. A
+    # scanned column is no farther than the free one, but rounding can
+    # say otherwise: a shift below 0 is skipped so that v >= 0 exactly.
+    d_free = dist[free]
+    row_pot[start] -= d_free
+    for j in scanned:
+        shift = d_free - dist[j]
+        if shift > 0.0:
+            v[j] += shift
+            row_pot[row_of[j]] -= shift
+    j = free
+    while j >= 0:
+        r = pred[j]
+        row_of[j], col_of[r], j = r, j, col_of[r]
+    return True

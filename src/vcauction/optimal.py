@@ -14,15 +14,17 @@ search bounded by its duals runs and keeps strict gains only. It then breaks
 ties: buyers are fixed in `BuyerId` order, each on its first seller in
 `SellerId` order that still leaves a completion worth the optimum within the
 tolerance. Every buyer is matched, so that is the smallest pair list. Each
-such test is one more assignment solve, and a search only when its matching
+such test first tries trading sellers with the last completion found, and
+otherwise is one more assignment solve, and a search only when its matching
 breaks C2.
 
 Payments follow the pivot rule: a winner receives its bid plus the welfare it
 adds, F(K*) - F_without, where F_without re-solves the scenario with that
 seller removed. When removal leaves no complete assignment at all, F_without
 is 0 (the market cannot run), which keeps F(K*) >= F_without and therefore
-non-negative winner utility under truthful bids. Each re-solve reads the root
-solve's compiled market with the winner's column dropped.
+non-negative winner utility under truthful bids. In `run_optimal_mechanism`
+each re-solve reads the root solve's list form with the winner's column
+banned, and warm-starts its assignment solve from the root's.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, Scenario, SellerId
-from .economics import Market, _edges_ok, _max_assignment, objective
+from .economics import Market, _drop_column, _edges_ok, _max_assignment, objective
 
 __all__ = [
     "BudgetExceeded",
@@ -140,9 +142,10 @@ def solve_optimal(
 ) -> SolveResult:
     """Branch-and-bound equivalent of solve_naive, in two phases.
 
-    `market` is `Market(s, excluded)` when the caller already has it, or a
-    `without`/`with_bid` variant of it; the search then reads the market
-    alone. The solve raises BudgetExceeded past the `perf_counter` time
+    `market` is `s` compiled, with or without the `excluded` sellers, when
+    the caller already has it, or a `without`/`with_bid` variant of it; the
+    search then reads the market alone, with the excluded sellers' columns
+    banned. The solve raises BudgetExceeded past the `perf_counter` time
     `deadline`.
 
     Phase 1 finds the optimum's value: the root assignment solve's matching,
@@ -152,14 +155,38 @@ def solve_optimal(
     smallest pair list.
     """
     m = market if market is not None else Market(s, excluded)
-    nb, ns = len(m.buyers), len(m.sellers)
-    uos, feasible, sp_of = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist()
-    edges = m.edge_lists()
-    # Candidates by descending value; most constrained buyer first.
+    banned = [m.seller_index[sid] for sid in excluded if sid in m.seller_index]
+    return _solve(m, _lists(m), banned, deadline)[0]
+
+
+def _lists(m: Market) -> tuple:
+    """The list form of `m` that the solver loops read: UoS and C1 per
+    buyer and seller, each seller's provider, `m.edge_lists()`, and each
+    buyer's C1 sellers by descending UoS."""
+    uos, feasible = m.uos.tolist(), m.feasible.tolist()
     candidates = [
-        sorted((si for si in range(ns) if feasible[bi][si]), key=lambda si: (-uos[bi][si], si))
-        for bi in range(nb)
+        sorted((si for si, ok in enumerate(row) if ok), key=lambda si: (-values[si], si))
+        for row, values in zip(feasible, uos)
     ]
+    return uos, feasible, m.sp_of.tolist(), m.edge_lists(), candidates
+
+
+def _solve(
+    m: Market, lists: tuple, banned: list[int], deadline: float | None, warm: tuple | None = None
+) -> tuple[SolveResult, tuple]:
+    """`solve_optimal` on `m`, read through its list form `lists`, with the
+    columns `banned` left out. Returns the result and the root relaxation.
+
+    `warm` is the root relaxation of the solve with nothing banned. With it
+    and one banned column, this solve's root relaxation is that one with the
+    column dropped: one augmenting path, not a solve.
+    """
+    uos, feasible, sp_of, edges, candidates = lists
+    nb, ns = len(m.buyers), len(m.sellers)
+    banned_bits = sum(1 << si for si in banned)
+    if banned_bits:
+        candidates = [[si for si in row if not (banned_bits >> si) & 1] for row in candidates]
+    # Most constrained buyer first.
     order = sorted(range(nb), key=lambda bi: (len(candidates[bi]), bi))
     nodes = 0
 
@@ -244,13 +271,34 @@ def solve_optimal(
         dfs(0, used, total)
         return found
 
+    def trade(bi: int, si: int):
+        """The witness with buyer `bi` on seller `si` and the later buyer
+        that holds `si` on bi's seller in exchange, if that keeps C1 and C2
+        and is worth at least `target`: a completion found with no solve."""
+        if si not in witness:
+            return None
+        other, mine = witness.index(si), witness[bi]
+        traded = list(witness)
+        traded[bi], traded[other] = si, mine
+        ok = feasible[other][mine] and _edges_ok(edges, sp_of, traded, bi, si)
+        ok = ok and _edges_ok(edges, sp_of, traded, other, mine)
+        return traded if ok and sum(uos[b][s] for b, s in enumerate(traded)) >= target else None
+
     # Phase 1: the optimum's value, by a search from the root assignment
     # solve that keeps strict gains only. With no C1 assignment it visits no
     # node.
-    root = relax([-1] * nb, 0)
-    witness = search([-1] * nb, 0, 0.0, -math.inf, False, root)
+    if warm is None or len(banned) != 1:
+        root = relax([-1] * nb, banned_bits)
+    else:
+        check_deadline()
+        root_order, _, root_cols, root_v = warm
+        rows = [[(si, uos[bi][si]) for si in candidates[bi]] for bi in root_order]
+        value, cols, v = _drop_column(rows, root_cols, root_v, banned[0])
+        col_of = dict(zip(root_order, cols))
+        root = (order, value, [col_of[bi] for bi in order], v)
+    witness = search([-1] * nb, banned_bits, 0.0, -math.inf, False, root)
     if witness is None:
-        return SolveResult(None, 0.0, nodes)
+        return SolveResult(None, 0.0, nodes), root
 
     # Phase 2: the smallest pair list worth at least `target`. The witness
     # extends the buyers fixed so far, so each buyer tests only the sellers
@@ -258,13 +306,14 @@ def solve_optimal(
     # duality an assignment is worth at most `ceiling` less the reduced
     # costs of its pairs against the root duals, so a seller whose reduced
     # cost, with those of the fixed pairs, drops the ceiling below `target`
-    # needs no test.
+    # needs no test. A test first tries a trade with the witness, and runs
+    # the search only when the trade fails.
     target = sum(uos[bi][si] for bi, si in enumerate(witness)) - TOLERANCE
     v = root[3]
     u = [max(uos[bi][si] - v[si] for si in candidates[bi]) for bi in range(nb)]
     ceiling = sum(u) + sum(v)
     assigned = [-1] * nb
-    used, total = 0, 0.0
+    used, total = banned_bits, 0.0
     for bi in range(nb):
         for si in range(witness[bi]):
             if not feasible[bi][si] or (used >> si) & 1:
@@ -274,10 +323,13 @@ def solve_optimal(
             if not _edges_ok(edges, sp_of, assigned, bi, si):
                 continue
             nodes += 1
-            assigned[bi] = si
-            next_used, next_total = used | (1 << si), total + uos[bi][si]
-            found = search(assigned, next_used, next_total, target, True, relax(assigned, next_used))
-            assigned[bi] = -1
+            found = trade(bi, si)
+            if found is None:
+                assigned[bi] = si
+                next_used, next_total = used | (1 << si), total + uos[bi][si]
+                relaxed = relax(assigned, next_used)
+                found = search(assigned, next_used, next_total, target, True, relaxed)
+                assigned[bi] = -1
             if found is not None:
                 witness = found
                 break
@@ -287,15 +339,22 @@ def solve_optimal(
         used, total = used | (1 << si), total + uos[bi][si]
 
     pairs = _pair_list(m, witness)
-    return SolveResult(Assignment(pairs), m.objective(pairs), nodes)
+    return SolveResult(Assignment(pairs), m.objective(pairs), nodes), root
 
 
 def _pivot(
-    s: Scenario, m: Market, f_star: float, sid: SellerId, deadline: float | None
+    s: Scenario,
+    m: Market,
+    lists: tuple,
+    root: tuple | None,
+    f_star: float,
+    sid: SellerId,
+    deadline: float | None,
 ) -> tuple[float, int]:
     """Pivot payment for winner `sid` of an optimum worth `f_star` on the
-    compiled market `m`, and the nodes its re-solve explored."""
-    without = solve_optimal(s, excluded=frozenset({sid}), market=m.without(sid), deadline=deadline)
+    compiled market `m`, and the nodes its re-solve explored: `_solve` on
+    m's list form `lists` with the winner banned, from `root` if given."""
+    without, _ = _solve(m, lists, [m.seller_index[sid]], deadline, root)
     f_wo = without.objective_value if without.assignment is not None else 0.0
     return f_star - f_wo + s.seller(sid).bid, without.explored
 
@@ -315,7 +374,8 @@ def vcg_payment(
     """
     if k_star.buyer_of(sid) is None:
         raise ValueError(f"{sid.label()} is not a winner")
-    return _pivot(s, Market(s), f_star, sid, deadline)[0]
+    m = Market(s)
+    return _pivot(s, m, _lists(m), None, f_star, sid, deadline)[0]
 
 
 def run_optimal_mechanism(s: Scenario, *, deadline: float | None = None) -> OptOutcome | None:
@@ -323,17 +383,19 @@ def run_optimal_mechanism(s: Scenario, *, deadline: float | None = None) -> OptO
 
     Returns None when no complete feasible assignment exists. The
     `perf_counter` time `deadline`, if given, bounds the main solve and all
-    payment re-solves together. The scenario is compiled once; each
-    re-solve drops one column of it.
+    payment re-solves together. The scenario is compiled once, into one
+    list form; each re-solve bans one column of it and warm-starts from the
+    root solve's relaxation.
     """
     m = Market(s)
-    res = solve_optimal(s, market=m, deadline=deadline)
+    lists = _lists(m)
+    res, root = _solve(m, lists, [], deadline)
     if res.assignment is None:
         return None
     payments: dict[SellerId, float] = {}
     pivot_nodes = 0
     for _, sid in res.assignment.pairs:
-        payments[sid], nodes = _pivot(s, m, res.objective_value, sid, deadline)
+        payments[sid], nodes = _pivot(s, m, lists, root, res.objective_value, sid, deadline)
         pivot_nodes += nodes
     return OptOutcome(res.assignment, res.objective_value, payments, res.explored, pivot_nodes)
 
@@ -361,9 +423,7 @@ def verify_truthfulness_opt(
     q = s.seller(sid).true_value
     m = market if market is not None else Market(s)
     m.edge_lists()  # filled once, shared by the re-solves' copies
-    without = solve_optimal(
-        s, excluded=frozenset({sid}), market=m.without(sid), deadline=deadline
-    )
+    without = solve_optimal(s, excluded=frozenset({sid}), market=m, deadline=deadline)
     f_wo = without.objective_value if without.assignment is not None else 0.0
 
     rows = []

@@ -247,6 +247,14 @@ def test_bench_rejects_bad_range(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_empty_range_is_a_usage_error(tmp_path, capsys):
+    """LO above HI would write an empty table; argparse refuses it."""
+    out = tmp_path / "b.json"
+    assert main(["bench", "--sp-range", "3:1", "--out", str(out)]) == 2
+    assert "3:1 is an empty range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_and_missing_command(capsys):
     assert main(["--help"]) == 0
     assert main([]) == 2

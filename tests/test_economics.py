@@ -35,7 +35,7 @@ from vcauction import (
     validate_scenario,
 )
 
-from vcauction.economics import _max_assignment
+from vcauction.economics import _drop_column, _max_assignment
 from vcauction.matching import _all_rows_matched
 
 from helpers import make_tiny, three_provider_scenario
@@ -396,6 +396,48 @@ def test_max_assignment_certificate(problem):
         for j, weight in cells:
             assert u[r] + v[j] >= weight - 1e-9
     assert sum(u) + sum(v) == pytest.approx(value, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(assignment_problems(), st.integers(0, 5))
+# Row 0's only cell is the column dropped, so it is left with no cell.
+@example(
+    (2, [[2.0, 0.0], [1.0, 1.0]], [[True, False], [True, True]], [[(0, 2.0)], [(0, 1.0), (1, 1.0)]]),
+    0,
+)
+def test_drop_column_equals_a_cold_solve(problem, pick):
+    """Solved in full, then one matched column dropped and its row inserted
+    again by one augmenting path: the value is a cold solve's on the reduced
+    rows and scipy's, and the matching and duals certify it (v >= 0 and 0
+    off the matching, each row's matched cell its best w - v)."""
+    n_cols, w, ok, rows = problem
+    value, cols, v = _max_assignment(rows, n_cols)
+    if value == -math.inf or not rows:
+        return
+    k = cols[pick % len(rows)]
+    reduced = [[(j, x) for j, x in cells if j != k] for cells in rows]
+    before = (list(cols), list(v))
+    got, got_cols, got_v = _drop_column(reduced, cols, v, k)
+    assert (cols, v) == before
+    cold = _max_assignment(reduced, n_cols)[0]
+    cost = np.array(
+        [[-x if ok[r][j] and j != k else np.inf for j, x in enumerate(w[r])] for r in range(len(rows))]
+    )
+    try:
+        r_idx, c_idx = linear_sum_assignment(cost)
+    except ValueError:
+        assert got == cold == -math.inf
+        return
+    assert got == pytest.approx(cold, abs=1e-9)
+    assert got == pytest.approx(-cost[r_idx, c_idx].sum(), abs=1e-9)
+    assert len(set(got_cols)) == len(rows) and k not in got_cols
+    assert all(ok[r][j] for r, j in enumerate(got_cols))
+    assert sum(w[r][j] for r, j in enumerate(got_cols)) == pytest.approx(got, abs=1e-9)
+    assert min(got_v) >= 0.0
+    assert all(got_v[j] == 0.0 for j in set(range(n_cols)) - set(got_cols))
+    for cells, j in zip(reduced, got_cols):
+        best = max(x - got_v[i] for i, x in cells)
+        assert dict(cells)[j] - got_v[j] == pytest.approx(best, abs=1e-9)
 
 
 def test_max_assignment_without_complete_matching():

@@ -29,6 +29,7 @@ from vcauction import (
     verify_truthfulness_opt,
 )
 import vcauction.harness as harness
+import vcauction.optimal as optimal
 
 from helpers import backtrack_scenario, make_tiny
 from test_optimal import one_sp_scenario
@@ -89,12 +90,15 @@ def test_opt_run_reports_root_and_pivot_nodes():
     run = run_mechanism(s, "opt")
     assert run.detail["explored_nodes"] == out.explored_nodes == solve_optimal(s).explored
     assert run.detail["pivot_nodes"] == out.pivot_nodes > 0
+    # The pivot path: the root market's list form, each winner banned, each
+    # re-solve warm-started from the root relaxation.
     m = Market(s)
+    lists = optimal._lists(m)
+    root = optimal._solve(m, lists, [], None)[1]
     resolves = [
-        solve_optimal(s, excluded=frozenset({w}), market=m.without(w))
-        for w in out.payments
+        optimal._pivot(s, m, lists, root, out.objective_value, w, None) for w in out.payments
     ]
-    assert out.pivot_nodes == sum(res.explored for res in resolves)
+    assert out.pivot_nodes == sum(nodes for _, nodes in resolves)
     assert run_to_doc(s, run)["pivot_nodes"] == out.pivot_nodes
 
 

@@ -1,7 +1,9 @@
 """Exact-solver tests: brute-force oracles, pivot payments, bid sweeps."""
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from vcauction import (
 )
 
 from helpers import independent_best_value, make_tiny
+from test_golden import _opt_run
 
 
 def one_sp_scenario(times, alpha, bases, edges=(), beta=(0.8, 0.95), seed=0):
@@ -200,6 +203,38 @@ def test_seeded_pivot_resolves_match_enumeration():
             assert payment == out.objective_value - f_wo + s.seller(winner).bid
             checked += 1
     assert checked == 110
+
+
+def test_excluded_sellers_are_banned_on_a_given_market():
+    """`excluded` holds on a market compiled with every seller: the solve
+    bans those columns and equals the one that compiles the market without
+    them, pairs and objective bits alike."""
+    checked = 0
+    tinies = (make_tiny(seed) for seed in range(200))
+    smalls = (generate(preset("small"), seed=seed) for seed in range(10))
+    for s in itertools.chain(tinies, smalls):
+        out = run_optimal_mechanism(s)
+        if out is None:
+            continue
+        m = Market(s)
+        for winner in out.payments:
+            excluded = frozenset({winner})
+            banned = solve_optimal(s, excluded=excluded, market=m)
+            dropped = solve_optimal(s, excluded=excluded)
+            assert banned.assignment == dropped.assignment, (s.seed, winner)
+            assert repr(banned.objective_value) == repr(dropped.objective_value), (s.seed, winner)
+            checked += 1
+    assert checked == 180
+
+
+def test_exact_auction_on_large_is_pinned():
+    """The whole exact auction on `large` seeds 0-2, 19 buyers each with a
+    pivot re-solve per winner: pairs, objective and payments equal, bit for
+    bit, those recorded in `exact_large.json` before the pivot re-solves
+    were warm-started."""
+    want = json.loads(Path(__file__).with_name("exact_large.json").read_text())
+    for seed in range(3):
+        assert _opt_run(generate(preset("large"), seed=seed)) == want[str(seed)], seed
 
 
 def _swap_ties(s, a: Assignment) -> list[Assignment]:
