@@ -103,8 +103,7 @@ class Market:
     but for the memo of `edge_lists`.
 
     Rows follow `Scenario.buyers`; columns are sellers in `SellerId` order,
-    whatever the order of `s.sellers`. Excluded sellers are dropped, not
-    masked, so every column is a seller the mechanisms may use.
+    whatever the order of `s.sellers`.
 
     - `gross[i, k]` is buyer i's `alpha * gross_utility` for seller k, and
       `uos[i, k]` is that minus k's bid: the float operations of `uos`, so
@@ -116,9 +115,8 @@ class Market:
       and buyer j on m2.
     """
 
-    def __init__(self, s: Scenario, excluded: frozenset[SellerId] = frozenset()):
-        kept = [sel for sel in s.sellers if sel.id not in excluded] if excluded else s.sellers
-        sellers = sorted(kept, key=lambda sel: (sel.id.sp_index, sel.id.vm_index, sel.id.rank))
+    def __init__(self, s: Scenario):
+        sellers = sorted(s.sellers, key=lambda sel: (sel.id.sp_index, sel.id.vm_index, sel.id.rank))
         self.buyers = s.buyers
         self.sellers = tuple(sel.id for sel in sellers)
         self.buyer_index = {b: i for i, b in enumerate(self.buyers)}
@@ -162,8 +160,10 @@ class Market:
         self._edge_lists: list | None = None
 
     def with_bid(self, sid: SellerId, bid: float) -> "Market":
-        """A copy in which one seller reports `bid`; coverage and C2 are shared."""
+        """A copy in which one seller reports `bid`; coverage and C2, and the
+        `edge_lists` memo, are shared."""
         k = self.seller_index[sid]
+        self.edge_lists()
         m = copy.copy(self)
         m.bid = self.bid.copy()
         m.bid[k] = bid
@@ -173,27 +173,12 @@ class Market:
         m.feasible[:, k] = self._admissible[:, k] & (m.uos[:, k] > TOLERANCE)
         return m
 
-    def without(self, sid: SellerId) -> "Market":
-        """A copy with one seller's column dropped, equal to compiling the
-        scenario with that seller excluded; rows and C2 are shared."""
-        k = self.seller_index[sid]
-        m = copy.copy(self)
-        m.sellers = self.sellers[:k] + self.sellers[k + 1 :]
-        m.seller_index = {s: i for i, s in enumerate(m.sellers)}
-        m.sp_of, m.cap, m.bid = (np.delete(a, k) for a in (self.sp_of, self.cap, self.bid))
-        m._admissible, m.gross, m.uos, m.feasible = (
-            np.delete(a, k, axis=1)
-            for a in (self._admissible, self.gross, self.uos, self.feasible)
-        )
-        return m
-
     def edge_lists(self) -> list[list[tuple[int, list[list[bool]]]]]:
         """`edges` with Python-list tables, for per-node loops where indexing
         numpy scalars would be slower.
 
-        Built on the first call and kept: `with_bid` and `without` copies
-        share C2, so a copy made after that call returns the same object.
-        Callers must not mutate it."""
+        Built on the first call and kept; `with_bid` copies share it. Callers
+        must not mutate it."""
         if self._edge_lists is None:
             self._edge_lists = [[(j, allowed.tolist()) for j, allowed in nbrs] for nbrs in self.edges]
         return self._edge_lists
@@ -240,24 +225,29 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> tuple:
     return _matched_value(rows, col_of), col_of, v
 
 
-def _drop_column(rows: list[list[tuple[int, float]]], cols: list[int], v: list[float], k: int):
+def _drop_columns(rows: list[list[tuple[int, float]]], cols: list[int], v: list[float], ks):
     """`_max_assignment(rows, len(v))` warm-started from `(cols, v)`, its
-    answer for the same rows with column `k` also allowed: k's dual goes to
-    0 and the row that held k, if any, is inserted again by one augmenting
+    answer for the same rows with the columns `ks` also allowed: their duals
+    go to 0 and each row that held one is inserted again by one augmenting
     path (Leonard 1983; Demange, Gale & Sotomayor 1986). Each row potential
     is read back from v as the row's best w - v. The inputs are not changed.
     """
     cols, v = list(cols), list(v)
-    v[k] = 0.0
     row_of = [-1] * len(v)
     for r, j in enumerate(cols):
         row_of[j] = r
-    r = row_of[k]
-    if r >= 0:
-        row_of[k] = cols[r] = -1
+    freed = []
+    for k in ks:
+        r = row_of[k]
+        v[k] = 0.0
+        if r >= 0:
+            freed.append(r)
+            row_of[k] = cols[r] = -1
+    if freed:
         row_pot = [max((w - v[j] for j, w in cells), default=0.0) for cells in rows]
-        if not _insert_row(rows, r, row_pot, v, row_of, cols):
-            return -math.inf, cols, v
+        for r in sorted(freed):
+            if not _insert_row(rows, r, row_pot, v, row_of, cols):
+                return -math.inf, cols, v
     return _matched_value(rows, cols), cols, v
 
 

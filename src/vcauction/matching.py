@@ -398,7 +398,6 @@ def verify_truthfulness_matching(
     q = s.seller(sid).true_value
     if market is None:
         market = Market(s)
-    market.edge_lists()  # filled once, shared by every grid point's copy
     rows, shapes = [], []
     for bid in default_bid_grid(q):
         outcome, broker = _run(s, market.with_bid(sid, bid), deadline)

@@ -22,9 +22,11 @@ Payments follow the pivot rule: a winner receives its bid plus the welfare it
 adds, F(K*) - F_without, where F_without re-solves the scenario with that
 seller removed. When removal leaves no complete assignment at all, F_without
 is 0 (the market cannot run), which keeps F(K*) >= F_without and therefore
-non-negative winner utility under truthful bids. In `run_optimal_mechanism`
-each re-solve reads the root solve's list form with the winner's column
-banned, and warm-starts its assignment solve from the root's.
+non-negative winner utility under truthful bids. Every re-solve without a
+seller, whether from `solve_optimal`, `vcg_payment`, `run_optimal_mechanism`
+or the bid sweep, runs one path: the seller's column is banned in the list
+form of the whole market, whose root assignment solve is warm-started from
+the one with every seller by one augmenting path.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, Scenario, SellerId
-from .economics import Market, _drop_column, _edges_ok, _max_assignment, objective
+from .economics import Market, _drop_columns, _edges_ok, _max_assignment, objective
 
 __all__ = [
     "BudgetExceeded",
@@ -58,7 +60,7 @@ class BudgetExceeded(RuntimeError):
 @dataclass(frozen=True)
 class SolveResult:
     assignment: Assignment | None
-    objective_value: float
+    objective_value: float  # 0.0 when there is no complete assignment
     # solve_naive: candidate maps enumerated. solve_optimal: search nodes
     # (one per buyer placed) of both phases plus the tie-break's completion
     # tests; 0 when the assignment solves settle everything.
@@ -81,28 +83,37 @@ def _pair_list(m: Market, assigned: list[int]) -> tuple:
     return tuple(sorted(pairs))
 
 
+def _banned(s: Scenario, m: Market, excluded: frozenset[SellerId]) -> list[int]:
+    """The columns of `m` that hold the `excluded` sellers, in order. An id
+    that is not a seller of `s` raises ValueError, as `Scenario.seller` does."""
+    return sorted(m.seller_index[s.seller(sid).id] for sid in excluded)
+
+
 def solve_naive(
     s: Scenario,
     excluded: frozenset[SellerId] = frozenset(),
     *,
     deadline: float | None = None,
 ) -> SolveResult:
-    """Literal enumeration: every buyer ordering against every seller subset.
+    """Literal enumeration: every buyer ordering against every subset of the
+    sellers outside `excluded`.
 
     Examines exactly b! * C(s, b) candidates; intended as the ground-truth
     oracle on tiny instances and as the runtime yardstick the pruned solver
     is benchmarked against. Raises BudgetExceeded past the `perf_counter`
     time `deadline`.
     """
-    m = Market(s, excluded)
-    nb, ns = len(m.buyers), len(m.sellers)
+    m = Market(s)
+    banned = _banned(s, m, excluded)
+    nb = len(m.buyers)
+    kept = [si for si in range(len(m.sellers)) if si not in banned]
     uos, feasible, sp_of = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist()
     edges = m.edge_lists()
     count = 0
     best_value = -math.inf
     best_pairs: tuple | None = None
 
-    for subset in itertools.combinations(range(ns), nb):
+    for subset in itertools.combinations(kept, nb):
         for order in itertools.permutations(range(nb)):
             count += 1
             if deadline is not None and count % 4096 == 0 and time.perf_counter() > deadline:
@@ -137,16 +148,12 @@ def solve_optimal(
     s: Scenario,
     excluded: frozenset[SellerId] = frozenset(),
     *,
-    market: Market | None = None,
     deadline: float | None = None,
 ) -> SolveResult:
     """Branch-and-bound equivalent of solve_naive, in two phases.
 
-    `market` is `s` compiled, with or without the `excluded` sellers, when
-    the caller already has it, or a `without`/`with_bid` variant of it; the
-    search then reads the market alone, with the excluded sellers' columns
-    banned. The solve raises BudgetExceeded past the `perf_counter` time
-    `deadline`.
+    The `excluded` sellers' columns are banned from `s` compiled. The solve
+    raises BudgetExceeded past the `perf_counter` time `deadline`.
 
     Phase 1 finds the optimum's value: the root assignment solve's matching,
     or a search from it that keeps strict gains only. Phase 2 fixes buyers
@@ -154,34 +161,33 @@ def solve_optimal(
     completion worth the optimum within the tolerance, which gives the
     smallest pair list.
     """
-    m = market if market is not None else Market(s, excluded)
-    banned = [m.seller_index[sid] for sid in excluded if sid in m.seller_index]
-    return _solve(m, _lists(m), banned, deadline)[0]
+    m = Market(s)
+    return _solve(m, _lists(m), _banned(s, m, excluded), deadline)
 
 
 def _lists(m: Market) -> tuple:
     """The list form of `m` that the solver loops read: UoS and C1 per
-    buyer and seller, each seller's provider, `m.edge_lists()`, and each
-    buyer's C1 sellers by descending UoS."""
+    buyer and seller, each seller's provider, `m.edge_lists()`, each buyer's
+    C1 sellers by descending UoS, and the root relaxation: the C1 assignment
+    solve of every buyer, as `relax` in `_solve` returns it."""
     uos, feasible = m.uos.tolist(), m.feasible.tolist()
     candidates = [
         sorted((si for si, ok in enumerate(row) if ok), key=lambda si: (-values[si], si))
         for row, values in zip(feasible, uos)
     ]
-    return uos, feasible, m.sp_of.tolist(), m.edge_lists(), candidates
+    order = sorted(range(len(candidates)), key=lambda bi: (len(candidates[bi]), bi))
+    rows = [[(si, uos[bi][si]) for si in candidates[bi]] for bi in order]
+    root = (order, *_max_assignment(rows, len(m.sellers)))
+    return uos, feasible, m.sp_of.tolist(), m.edge_lists(), candidates, root
 
 
-def _solve(
-    m: Market, lists: tuple, banned: list[int], deadline: float | None, warm: tuple | None = None
-) -> tuple[SolveResult, tuple]:
+def _solve(m: Market, lists: tuple, banned: list[int], deadline: float | None) -> SolveResult:
     """`solve_optimal` on `m`, read through its list form `lists`, with the
-    columns `banned` left out. Returns the result and the root relaxation.
-
-    `warm` is the root relaxation of the solve with nothing banned. With it
-    and one banned column, this solve's root relaxation is that one with the
-    column dropped: one augmenting path, not a solve.
+    columns `banned` left out. Its root relaxation is the list form's with
+    those columns dropped: one augmenting path per buyer that held one, not
+    a solve.
     """
-    uos, feasible, sp_of, edges, candidates = lists
+    uos, feasible, sp_of, edges, candidates, root = lists
     nb, ns = len(m.buyers), len(m.sellers)
     banned_bits = sum(1 << si for si in banned)
     if banned_bits:
@@ -286,19 +292,17 @@ def _solve(
 
     # Phase 1: the optimum's value, by a search from the root assignment
     # solve that keeps strict gains only. With no C1 assignment it visits no
-    # node.
-    if warm is None or len(banned) != 1:
-        root = relax([-1] * nb, banned_bits)
-    else:
-        check_deadline()
-        root_order, _, root_cols, root_v = warm
+    # node, and banning columns cannot make one.
+    check_deadline()
+    root_order, value, cols, v = root
+    if banned and value > -math.inf:
         rows = [[(si, uos[bi][si]) for si in candidates[bi]] for bi in root_order]
-        value, cols, v = _drop_column(rows, root_cols, root_v, banned[0])
-        col_of = dict(zip(root_order, cols))
-        root = (order, value, [col_of[bi] for bi in order], v)
+        value, cols, v = _drop_columns(rows, cols, v, banned)
+    col_of = dict(zip(root_order, cols))
+    root = (order, value, [col_of[bi] for bi in order], v)
     witness = search([-1] * nb, banned_bits, 0.0, -math.inf, False, root)
     if witness is None:
-        return SolveResult(None, 0.0, nodes), root
+        return SolveResult(None, 0.0, nodes)
 
     # Phase 2: the smallest pair list worth at least `target`. The witness
     # extends the buyers fixed so far, so each buyer tests only the sellers
@@ -339,24 +343,7 @@ def _solve(
         used, total = used | (1 << si), total + uos[bi][si]
 
     pairs = _pair_list(m, witness)
-    return SolveResult(Assignment(pairs), m.objective(pairs), nodes), root
-
-
-def _pivot(
-    s: Scenario,
-    m: Market,
-    lists: tuple,
-    root: tuple | None,
-    f_star: float,
-    sid: SellerId,
-    deadline: float | None,
-) -> tuple[float, int]:
-    """Pivot payment for winner `sid` of an optimum worth `f_star` on the
-    compiled market `m`, and the nodes its re-solve explored: `_solve` on
-    m's list form `lists` with the winner banned, from `root` if given."""
-    without, _ = _solve(m, lists, [m.seller_index[sid]], deadline, root)
-    f_wo = without.objective_value if without.assignment is not None else 0.0
-    return f_star - f_wo + s.seller(sid).bid, without.explored
+    return SolveResult(Assignment(pairs), m.objective(pairs), nodes)
 
 
 def vcg_payment(
@@ -369,13 +356,13 @@ def vcg_payment(
 ) -> float:
     """Pivot payment for one winner: bid + F(K*) - F_without.
 
-    F_without is the complete-assignment optimum with the seller removed, or
-    0 when no complete assignment survives the removal.
+    F_without is `solve_optimal` with the seller excluded, 0 when no complete
+    assignment survives the removal.
     """
     if k_star.buyer_of(sid) is None:
         raise ValueError(f"{sid.label()} is not a winner")
-    m = Market(s)
-    return _pivot(s, m, _lists(m), None, f_star, sid, deadline)[0]
+    without = solve_optimal(s, frozenset({sid}), deadline=deadline)
+    return f_star - without.objective_value + s.seller(sid).bid
 
 
 def run_optimal_mechanism(s: Scenario, *, deadline: float | None = None) -> OptOutcome | None:
@@ -384,19 +371,20 @@ def run_optimal_mechanism(s: Scenario, *, deadline: float | None = None) -> OptO
     Returns None when no complete feasible assignment exists. The
     `perf_counter` time `deadline`, if given, bounds the main solve and all
     payment re-solves together. The scenario is compiled once, into one
-    list form; each re-solve bans one column of it and warm-starts from the
-    root solve's relaxation.
+    list form; each re-solve is `solve_optimal` with the winner excluded, on
+    that list form.
     """
     m = Market(s)
     lists = _lists(m)
-    res, root = _solve(m, lists, [], deadline)
+    res = _solve(m, lists, [], deadline)
     if res.assignment is None:
         return None
     payments: dict[SellerId, float] = {}
     pivot_nodes = 0
     for _, sid in res.assignment.pairs:
-        payments[sid], nodes = _pivot(s, m, lists, root, res.objective_value, sid, deadline)
-        pivot_nodes += nodes
+        without = _solve(m, lists, [m.seller_index[sid]], deadline)
+        payments[sid] = res.objective_value - without.objective_value + s.seller(sid).bid
+        pivot_nodes += without.explored
     return OptOutcome(res.assignment, res.objective_value, payments, res.explored, pivot_nodes)
 
 
@@ -415,21 +403,20 @@ def verify_truthfulness_opt(
 
     Utility is payment - true_value when the seller wins, else 0. The removal
     term F_without never involves the swept seller's bid, so it is computed
-    once. `market` is `s` compiled, when the caller already has it; each grid
-    point re-prices one column of it. The report flags any bid whose utility
-    beats the truthful one. Every solve stops with BudgetExceeded past the
-    `perf_counter` time `deadline`.
+    once, as `solve_optimal` computes it. `market` is `s` compiled, when the
+    caller already has it; each grid point re-prices one column of it. The
+    report flags any bid whose utility beats the truthful one. Every solve
+    stops with BudgetExceeded past the `perf_counter` time `deadline`.
     """
     q = s.seller(sid).true_value
     m = market if market is not None else Market(s)
-    m.edge_lists()  # filled once, shared by the re-solves' copies
-    without = solve_optimal(s, excluded=frozenset({sid}), market=m, deadline=deadline)
-    f_wo = without.objective_value if without.assignment is not None else 0.0
+    f_wo = _solve(m, _lists(m), [m.seller_index[sid]], deadline).objective_value
 
     rows = []
     truthful_utility = 0.0
     for bid in default_bid_grid(q):
-        res = solve_optimal(s, market=m.with_bid(sid, bid), deadline=deadline)
+        rebid = m.with_bid(sid, bid)
+        res = _solve(rebid, _lists(rebid), [], deadline)
         won = res.assignment is not None and res.assignment.buyer_of(sid) is not None
         if won:
             payment = res.objective_value - f_wo + bid

@@ -1,7 +1,9 @@
 """Experiment-plumbing tests."""
 import dataclasses
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,6 @@ from vcauction import (
     verify_truthfulness_opt,
 )
 import vcauction.harness as harness
-import vcauction.optimal as optimal
 
 from helpers import backtrack_scenario, make_tiny
 from test_optimal import one_sp_scenario
@@ -90,15 +91,9 @@ def test_opt_run_reports_root_and_pivot_nodes():
     run = run_mechanism(s, "opt")
     assert run.detail["explored_nodes"] == out.explored_nodes == solve_optimal(s).explored
     assert run.detail["pivot_nodes"] == out.pivot_nodes > 0
-    # The pivot path: the root market's list form, each winner banned, each
-    # re-solve warm-started from the root relaxation.
-    m = Market(s)
-    lists = optimal._lists(m)
-    root = optimal._solve(m, lists, [], None)[1]
-    resolves = [
-        optimal._pivot(s, m, lists, root, out.objective_value, w, None) for w in out.payments
-    ]
-    assert out.pivot_nodes == sum(nodes for _, nodes in resolves)
+    # Each pivot re-solve is `solve_optimal` with the winner excluded.
+    resolves = [solve_optimal(s, excluded=frozenset({w})) for w in out.payments]
+    assert out.pivot_nodes == sum(res.explored for res in resolves)
     assert run_to_doc(s, run)["pivot_nodes"] == out.pivot_nodes
 
 
@@ -222,13 +217,14 @@ def test_shared_market_changes_no_audit():
 
 
 def test_market_copies_share_the_edge_lists():
+    """`with_bid` copies share the C2 list memo, though nothing filled it
+    before the first copy."""
     s = generate(preset("small"), seed=0)
     m = Market(s)
     sid = m.sellers[0]
-    lists = m.edge_lists()
+    lists = m.with_bid(sid, 0.5).edge_lists()
     assert m.edge_lists() is lists
-    assert m.with_bid(sid, 0.5).edge_lists() is lists
-    assert m.without(sid).edge_lists() is lists
+    assert m.with_bid(sid, 0.7).edge_lists() is lists
 
 
 def test_verify_report_budget_bounds_the_exact_sweeps():
@@ -320,3 +316,17 @@ def test_bench_sweep_flags_budget_exhaustion():
     rows = bench_sweep(4, [3], base_seed=0, budget_secs=0.05)
     assert rows[0]["enum_completed"] == 0
     assert rows[0]["enum_maps"] == ""
+
+
+def test_traced_functions_exist():
+    """Every `(module, function)` that the benchmark's tracer rebinds
+    (`TRACED` in `perfbench/spans.py`) is still a function of the package:
+    a traced run would otherwise fail on a renamed or deleted one."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module, name, _ in spans.TRACED:
+        fn = getattr(importlib.import_module(f"vcauction.{module}"), name, None)
+        assert callable(fn), f"vcauction.{module}.{name}"

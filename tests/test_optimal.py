@@ -16,7 +16,6 @@ from vcauction import (
     GenConfig,
     GraphJob,
     JobEdge,
-    Market,
     Scenario,
     TOLERANCE,
     SellerId,
@@ -166,49 +165,29 @@ def test_c2_binding_solves_match_enumeration():
 
 def test_pivot_resolves_match_enumeration():
     """Each payment re-solve, the optimum with one winner removed, equals the
-    enumeration oracle's, pairs and objective bits alike."""
+    enumeration oracle's, pairs and objective bits alike; so do the payments
+    built on it."""
     checked = 0
     for seed in range(200):
         s = make_tiny(seed)
         out = run_optimal_mechanism(s)
         if out is None:
             continue
-        for winner in out.payments:
+        for winner, payment in out.payments.items():
             excluded = frozenset({winner})
             res_o = solve_optimal(s, excluded=excluded)
             res_n = solve_naive(s, excluded=excluded)
             assert res_o.assignment == res_n.assignment, (seed, winner)
             assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
+            assert payment == out.objective_value - res_n.objective_value + s.seller(winner).bid
             checked += 1
     assert checked == 110
 
 
-def test_seeded_pivot_resolves_match_enumeration():
-    """A re-solve on the winner's column dropped from the root market equals
-    the enumeration oracle; so do the payments built on it."""
-    checked = 0
-    for seed in range(200):
-        s = make_tiny(seed)
-        out = run_optimal_mechanism(s)
-        if out is None:
-            continue
-        m = Market(s)
-        for winner, payment in out.payments.items():
-            excluded = frozenset({winner})
-            res_o = solve_optimal(s, excluded=excluded, market=m.without(winner))
-            res_n = solve_naive(s, excluded=excluded)
-            assert res_o.assignment == res_n.assignment, (seed, winner)
-            assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
-            f_wo = res_n.objective_value if res_n.assignment is not None else 0.0
-            assert payment == out.objective_value - f_wo + s.seller(winner).bid
-            checked += 1
-    assert checked == 110
-
-
-def test_excluded_sellers_are_banned_on_a_given_market():
-    """`excluded` holds on a market compiled with every seller: the solve
-    bans those columns and equals the one that compiles the market without
-    them, pairs and objective bits alike."""
+def test_pivot_resolves_are_solve_optimal_without_the_winner():
+    """The auction's pivot re-solves run the code of `solve_optimal` with
+    the winner excluded, node counts included: those counts sum to
+    `pivot_nodes`, and each payment is built on that objective bit for bit."""
     checked = 0
     tinies = (make_tiny(seed) for seed in range(200))
     smalls = (generate(preset("small"), seed=seed) for seed in range(10))
@@ -216,15 +195,26 @@ def test_excluded_sellers_are_banned_on_a_given_market():
         out = run_optimal_mechanism(s)
         if out is None:
             continue
-        m = Market(s)
-        for winner in out.payments:
-            excluded = frozenset({winner})
-            banned = solve_optimal(s, excluded=excluded, market=m)
-            dropped = solve_optimal(s, excluded=excluded)
-            assert banned.assignment == dropped.assignment, (s.seed, winner)
-            assert repr(banned.objective_value) == repr(dropped.objective_value), (s.seed, winner)
+        nodes = 0
+        for winner, payment in out.payments.items():
+            without = solve_optimal(s, excluded=frozenset({winner}))
+            want = out.objective_value - without.objective_value + s.seller(winner).bid
+            assert payment == want, (s.seed, winner)
+            nodes += without.explored
             checked += 1
+        assert nodes == out.pivot_nodes, s.seed
     assert checked == 180
+
+
+def test_unknown_excluded_seller_is_refused():
+    """A mistyped excluded id is an error, not the unrestricted optimum."""
+    s = make_tiny(0)
+    ghost = SellerId(9, 9, 9)
+    for solve in (solve_optimal, solve_naive):
+        with pytest.raises(ValueError, match="unknown seller s9.9.9"):
+            solve(s, excluded=frozenset({ghost}))
+        with pytest.raises(ValueError, match="unknown seller"):
+            solve(s, excluded=frozenset({s.sellers[0].id, ghost}))
 
 
 def test_exact_auction_on_large_is_pinned():
@@ -271,16 +261,12 @@ def test_tie_break_matches_enumeration_on_swap_ties():
         out = run_optimal_mechanism(s)
         assert out.assignment == root.assignment, seed
         assert repr(out.objective_value) == repr(root.objective_value), seed
-        m = Market(s)
         for winner in out.payments:
             excluded = frozenset({winner})
+            res_o = solve_optimal(s, excluded=excluded)
             res_n = solve_naive(s, excluded=excluded)
-            for res_o in (
-                solve_optimal(s, excluded=excluded),
-                solve_optimal(s, excluded=excluded, market=m.without(winner)),
-            ):
-                assert res_o.assignment == res_n.assignment, (seed, winner)
-                assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
+            assert res_o.assignment == res_n.assignment, (seed, winner)
+            assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
     assert tied >= 20
 
 
