@@ -16,6 +16,7 @@ from vcauction import (
     GenConfig,
     GraphJob,
     JobEdge,
+    Market,
     Scenario,
     TOLERANCE,
     SellerId,
@@ -39,6 +40,7 @@ from vcauction import (
     verify_truthfulness_opt,
 )
 
+from vcauction.optimal import _lists, _solve
 from helpers import independent_best_value, make_tiny
 from test_golden import _opt_run
 
@@ -165,21 +167,42 @@ def test_c2_binding_solves_match_enumeration():
 
 def test_pivot_resolves_match_enumeration():
     """Each payment re-solve, the optimum with one winner removed, equals the
-    enumeration oracle's, pairs and objective bits alike; so do the payments
-    built on it."""
+    enumeration oracle's, pairs and objective bits alike."""
     checked = 0
     for seed in range(200):
         s = make_tiny(seed)
         out = run_optimal_mechanism(s)
         if out is None:
             continue
-        for winner, payment in out.payments.items():
+        for winner in out.payments:
             excluded = frozenset({winner})
             res_o = solve_optimal(s, excluded=excluded)
             res_n = solve_naive(s, excluded=excluded)
             assert res_o.assignment == res_n.assignment, (seed, winner)
             assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
-            assert payment == out.objective_value - res_n.objective_value + s.seller(winner).bid
+            checked += 1
+    assert checked == 110
+
+
+def test_seeded_pivot_resolves_match_enumeration():
+    """A re-solve seeded from the root's list form, the winner's column
+    banned and the root relaxation reused as the auction's pivots do, equals
+    the enumeration oracle; so do the payments built on it."""
+    checked = 0
+    for seed in range(200):
+        s = make_tiny(seed)
+        out = run_optimal_mechanism(s)
+        if out is None:
+            continue
+        m = Market(s)
+        lists = _lists(m)
+        for winner, payment in out.payments.items():
+            res_o = _solve(m, lists, [m.seller_index[winner]], None)
+            res_n = solve_naive(s, excluded=frozenset({winner}))
+            assert res_o.assignment == res_n.assignment, (seed, winner)
+            assert repr(res_o.objective_value) == repr(res_n.objective_value), (seed, winner)
+            f_wo = res_n.objective_value if res_n.assignment is not None else 0.0
+            assert payment == out.objective_value - f_wo + s.seller(winner).bid
             checked += 1
     assert checked == 110
 
