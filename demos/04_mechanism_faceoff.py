@@ -1,12 +1,11 @@
-# Matching vs the three baseline allocators over repeated random draws.
+# Matching vs the three baseline allocators over repeated random draws,
+# and vs the exact auction where the buyer count is at or below the cutoff.
 #
 # Run: python3 demos/04_mechanism_faceoff.py
 from vcauction import experiment, preset
 
 for name in ("small", "large"):
-    summary, rows = experiment(
-        preset(name), trials=20, include_opt=False, preset_name=name
-    )
+    summary, rows = experiment(preset(name), trials=20, preset_name=name)
     print(f"--- {name} preset, {summary['trials']} trials ---")
     for mech, stats in summary["mechanisms"].items():
         if not stats["successes"]:

@@ -43,7 +43,8 @@ def run_baseline(s: Scenario, kind: str, seed: int = 0) -> Assignment | None:
             row = m.feasible[bi] & free
             for j, allowed in m.edges[bi]:
                 if chosen[j] >= 0:
-                    row &= allowed[m.sp_of, m.sp_of[chosen[j]]]
+                    sp = m.sp_of[chosen[j]]
+                    row &= np.array([r[sp] for r in allowed])[m.sp_of]
             candidates = np.flatnonzero(row)
             if not candidates.size:
                 break

@@ -99,8 +99,7 @@ def objective(s: Scenario, a: Assignment) -> float:
 
 
 class Market:
-    """A scenario compiled once for the mechanisms; never mutated after build,
-    but for the memo of `edge_lists`.
+    """A scenario compiled once for the mechanisms; never mutated after build.
 
     Rows follow `Scenario.buyers`; columns are sellers in `SellerId` order,
     whatever the order of `s.sellers`.
@@ -111,8 +110,9 @@ class Market:
     - `feasible[i, k]` is C1 (`pair_feasible`).
     - `sp_of[k]` is seller k's provider.
     - `edges[i]` lists buyer i's job-edge neighbours as `(j, allowed)`, where
-      `allowed[m1, m2]` is C2 (`edge_feasible`) for buyer i on provider m1
-      and buyer j on m2.
+      `allowed[m1][m2]` is C2 (`edge_feasible`) for buyer i on provider m1
+      and buyer j on m2. The tables are Python lists, which per-node loops
+      index faster than numpy arrays; they are shared and never mutated.
     """
 
     def __init__(self, s: Scenario):
@@ -152,18 +152,16 @@ class Market:
         tables = prob.reshape(len(job_edges), n_sp, n_sp) >= s.epsilon - TOLERANCE
         tables |= np.eye(n_sp, dtype=bool)
         row = {(b.job_index, b.component_index): i for i, b in enumerate(self.buyers)}
-        self.edges: list[list[tuple[int, np.ndarray]]] = [[] for _ in self.buyers]
-        for (n, e), allowed in zip(job_edges, tables):
+        self.edges: list[list[tuple[int, list[list[bool]]]]] = [[] for _ in self.buyers]
+        for (n, e), allowed in zip(job_edges, tables.tolist()):
             i, j = row[n, e.x1], row[n, e.x2]
             self.edges[i].append((j, allowed))
             self.edges[j].append((i, allowed))
-        self._edge_lists: list | None = None
 
     def with_bid(self, sid: SellerId, bid: float) -> "Market":
-        """A copy in which one seller reports `bid`; coverage and C2, and the
-        `edge_lists` memo, are shared."""
+        """A copy in which one seller reports `bid`; coverage and the C2
+        tables are shared."""
         k = self.seller_index[sid]
-        self.edge_lists()
         m = copy.copy(self)
         m.bid = self.bid.copy()
         m.bid[k] = bid
@@ -173,29 +171,11 @@ class Market:
         m.feasible[:, k] = self._admissible[:, k] & (m.uos[:, k] > TOLERANCE)
         return m
 
-    def edge_lists(self) -> list[list[tuple[int, list[list[bool]]]]]:
-        """`edges` with Python-list tables, for per-node loops where indexing
-        numpy scalars would be slower.
-
-        Built on the first call and kept; `with_bid` copies share it. Callers
-        must not mutate it."""
-        if self._edge_lists is None:
-            self._edge_lists = [[(j, allowed.tolist()) for j, allowed in nbrs] for nbrs in self.edges]
-        return self._edge_lists
-
-    def objective(self, pairs) -> float:
-        """`objective` from the compiled values, which may carry a bid that
-        the scenario does not: the same pairs, order and float operations."""
-        ordered = sorted(pairs)
-        rows = [self.buyer_index[b] for b, _ in ordered]
-        cols = [self.seller_index[sid] for _, sid in ordered]
-        return sum(self.uos[rows, cols].tolist(), 0.0)
-
 
 def _edges_ok(edges: list, sp_of: list[int], assigned: list[int], bi: int, si: int) -> bool:
     """C2 for placing buyer `bi` on seller `si`, against every neighbour that
-    `assigned` (seller per buyer, -1 when open) has placed. `edges` and
-    `sp_of` are `Market.edge_lists()` and `Market.sp_of` as lists."""
+    `assigned` (seller per buyer, -1 when open) has placed. `edges` is
+    `Market.edges`, and `sp_of` is `Market.sp_of` as a list."""
     sp = sp_of[si]
     for other, allowed in edges[bi]:
         osi = assigned[other]
@@ -212,40 +192,35 @@ def _max_assignment(rows: list[list[tuple[int, float]]], n_cols: int) -> tuple:
     row), each row's column, and column duals v >= 0, zero off the matching,
     with u_r + v_j >= w_rj on every allowed cell for u_r = w_r,col[r] - v_col[r].
 
-    Shortest augmenting paths (Kuhn 1955; Jonker & Volgenant 1987): each row
-    is inserted by `_insert_row`.
+    Shortest augmenting paths (Kuhn 1955; Jonker & Volgenant 1987):
+    `_drop_columns` from the empty matching, which inserts every row.
     """
-    row_pot = [0.0] * len(rows)
-    v = [0.0] * n_cols
-    row_of = [-1] * n_cols
-    col_of = [-1] * len(rows)
-    for start in range(len(rows)):
-        if not _insert_row(rows, start, row_pot, v, row_of, col_of):
-            return -math.inf, col_of, v
-    return _matched_value(rows, col_of), col_of, v
+    return _drop_columns(rows, [-1] * len(rows), [0.0] * n_cols, ())
 
 
 def _drop_columns(rows: list[list[tuple[int, float]]], cols: list[int], v: list[float], ks):
-    """`_max_assignment(rows, len(v))` warm-started from `(cols, v)`, its
-    answer for the same rows with the columns `ks` also allowed: their duals
-    go to 0 and each row that held one is inserted again by one augmenting
-    path (Leonard 1983; Demange, Gale & Sotomayor 1986). Each row potential
-    is read back from v as the row's best w - v. The inputs are not changed.
+    """`_max_assignment(rows, len(v))` warm-started from a matching `cols`
+    (each row's column, -1 for none) and column duals `v` that certify it,
+    with the columns `ks` taken out: their duals go to 0, and each row
+    that holds no column is inserted by one augmenting path `_insert_row`,
+    in row order (Leonard 1983; Demange, Gale & Sotomayor 1986). The
+    potential of a row that holds a column is read back from v as the
+    row's best w - v. The inputs are not changed.
     """
     cols, v = list(cols), list(v)
     row_of = [-1] * len(v)
     for r, j in enumerate(cols):
-        row_of[j] = r
-    freed = []
+        if j >= 0:
+            row_of[j] = r
     for k in ks:
-        r = row_of[k]
         v[k] = 0.0
+        r = row_of[k]
         if r >= 0:
-            freed.append(r)
             row_of[k] = cols[r] = -1
-    if freed:
-        row_pot = [max((w - v[j] for j, w in cells), default=0.0) for cells in rows]
-        for r in sorted(freed):
+    open_ = [r for r, j in enumerate(cols) if j < 0]
+    if open_:
+        row_pot = [max(w - v[j] for j, w in cells) if j >= 0 else 0.0 for cells, j in zip(rows, cols)]
+        for r in open_:
             if not _insert_row(rows, r, row_pot, v, row_of, cols):
                 return -math.inf, cols, v
     return _matched_value(rows, cols), cols, v

@@ -19,6 +19,7 @@ from .model import (
     ServiceProvider,
     ValuationConfig,
     VirtualMachine,
+    _finite,
     _integral,
     expand_vms,
     max_rank_for,
@@ -306,7 +307,7 @@ def config_from_dict(doc: dict) -> GenConfig:
             )
             for t in doc.get("custom_types", [])
         )
-        pair = lambda key: (float(doc[key][0]), float(doc[key][1]))
+        pair = lambda key: (_finite(doc[key][0]), _finite(doc[key][1]))
         return GenConfig(
             job_types=tuple(_integral(t) for t in doc["job_types"]),
             sp_count=_integral(doc["sp_count"]),
@@ -319,7 +320,7 @@ def config_from_dict(doc: dict) -> GenConfig:
             lambda_range=pair("lambda_range"),
             beta1_range=pair("beta1_range"),
             beta2_range=pair("beta2_range"),
-            coverage_density=float(doc.get("coverage_density", 1.0)),
+            coverage_density=_finite(doc.get("coverage_density", 1.0)),
             seed=_integral(doc.get("seed", 0)),
             custom_types=custom,
         )

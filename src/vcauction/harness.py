@@ -207,13 +207,12 @@ def experiment(
     trials: int,
     base_seed: int = 0,
     budget_secs: float | None = DEFAULT_BUDGET_SECS,
-    include_opt: bool | None = None,
     preset_name: str | None = None,
 ) -> tuple[dict, list[dict]]:
     """Generate `trials` scenarios and run every applicable mechanism.
 
     Returns (summary, rows). The exact solver joins only when the buyer count
-    is at or below OPT_BUYER_CUTOFF (or when include_opt forces it).
+    is at or below OPT_BUYER_CUTOFF.
     """
     rows: list[dict] = []
     sums: dict[str, float] = {}
@@ -225,9 +224,8 @@ def experiment(
         seed = base_seed + trial
         s = generate(cfg, seed=seed)
         digest = scenario_digest(s)
-        use_opt = include_opt if include_opt is not None else len(s.buyers) <= OPT_BUYER_CUTOFF
-        mechanisms = (("opt",) if use_opt else ()) + ("maxuosg",) + BASELINE_KINDS
-        for name in mechanisms:
+        opt = ("opt",) if len(s.buyers) <= OPT_BUYER_CUTOFF else ()
+        for name in opt + ("maxuosg",) + BASELINE_KINDS:
             run = run_mechanism(s, name, seed=seed, budget_secs=budget_secs)
             any_ir.extend(ir_violations(s, run))
             rows.append(

@@ -18,10 +18,10 @@ covers the bid.
 
 The pipeline reads the compiled `Market` by index: the broker list is one
 sort of the feasible cells into buyer, seller and value arrays, and the scan
-checks C2 with the helper the exact solvers use, on the market's memoised
-list form of the C2 tables. Pricing walks the same arrays once for all
-winners, finding each buyer's winning entry and the entry behind it, and
-sums the objective from the winning entries. The bid sweep compiles the
+checks C2 with the helper the exact solvers use, on the market's C2 tables.
+Pricing walks the same arrays once for all winners, finding each buyer's
+winning entry and the entry behind it, and sums the objective from the
+winning entries. The bid sweep compiles the
 market once (or takes the caller's) and re-prices one column of it per
 grid point. `PrefEntry` and `build_buyer_list` are the per-buyer view that
 `verify` serialises.
@@ -212,7 +212,7 @@ def match(
         return None, (("fail",),)
 
     m = broker.market
-    sp_of, edges = m.sp_of.tolist(), m.edge_lists()
+    sp_of, edges = m.sp_of.tolist(), m.edges
     n_sellers = len(m.sellers)
     seller_of = [-1] * total_buyers
     taken = [False] * n_sellers
@@ -310,7 +310,8 @@ def matching_payments(
     behind it in that buyer's list: the buyer's next entry in broker order,
     or the virtual critical one. Since lists are sorted, payment never drops
     below the bid. The objective sums the winners' entries in row order,
-    which is `BuyerId` order, so it equals `Market.objective` bit for bit.
+    which is `BuyerId` order, so it equals `economics.objective` bit for bit
+    on the scenario with the market's bids.
     Payments follow `assignment.pairs`.
     """
     m = broker.market

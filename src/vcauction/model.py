@@ -431,18 +431,27 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _number(x) -> int | float:
+    """`x` if `json` parsed it from a number: not a bool, which `float` and
+    `int` would read as 1 or 0, nor a string such as "0.5"."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{x!r} is not a number")
+    return x
+
+
 def _finite(x) -> float:
-    """`float(x)`, refusing the NaN and infinities that `json` parses."""
-    out = float(x)
+    """`float(x)` of a number, refusing the NaN and infinities that `json`
+    parses."""
+    out = float(_number(x))
     if not math.isfinite(out):
         raise ValueError(f"number {out} is not finite")
     return out
 
 
 def _integral(x) -> int:
-    """`int(x)`, refusing a number with a fractional part, which `int` would
-    truncate; an integral float such as 2.0 is read as 2."""
-    if isinstance(x, float) and not x.is_integer():
+    """`int(x)` of a number, refusing one with a fractional part, which `int`
+    would truncate; an integral float such as 2.0 is read as 2."""
+    if isinstance(_number(x), float) and not x.is_integer():
         raise ValueError(f"number {x} is not an integer")
     return int(x)
 

@@ -107,8 +107,7 @@ def solve_naive(
     banned = _banned(s, m, excluded)
     nb = len(m.buyers)
     kept = [si for si in range(len(m.sellers)) if si not in banned]
-    uos, feasible, sp_of = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist()
-    edges = m.edge_lists()
+    uos, feasible, sp_of, edges = m.uos.tolist(), m.feasible.tolist(), m.sp_of.tolist(), m.edges
     count = 0
     best_value = -math.inf
     best_pairs: tuple | None = None
@@ -167,9 +166,9 @@ def solve_optimal(
 
 def _lists(m: Market) -> tuple:
     """The list form of `m` that the solver loops read: UoS and C1 per
-    buyer and seller, each seller's provider, `m.edge_lists()`, each buyer's
-    C1 sellers by descending UoS, and the root relaxation: the C1 assignment
-    solve of every buyer, as `relax` in `_solve` returns it."""
+    buyer and seller, each seller's provider, the C2 tables `m.edges`, each
+    buyer's C1 sellers by descending UoS, and the root relaxation: the C1
+    assignment solve of every buyer, as `relax` in `_solve` returns it."""
     uos, feasible = m.uos.tolist(), m.feasible.tolist()
     candidates = [
         sorted((si for si, ok in enumerate(row) if ok), key=lambda si: (-values[si], si))
@@ -178,7 +177,7 @@ def _lists(m: Market) -> tuple:
     order = sorted(range(len(candidates)), key=lambda bi: (len(candidates[bi]), bi))
     rows = [[(si, uos[bi][si]) for si in candidates[bi]] for bi in order]
     root = (order, *_max_assignment(rows, len(m.sellers)))
-    return uos, feasible, m.sp_of.tolist(), m.edge_lists(), candidates, root
+    return uos, feasible, m.sp_of.tolist(), m.edges, candidates, root
 
 
 def _solve(m: Market, lists: tuple, banned: list[int], deadline: float | None) -> SolveResult:
@@ -342,8 +341,9 @@ def _solve(m: Market, lists: tuple, banned: list[int], deadline: float | None) -
         assigned[bi] = si
         used, total = used | (1 << si), total + uos[bi][si]
 
-    pairs = _pair_list(m, witness)
-    return SolveResult(Assignment(pairs), m.objective(pairs), nodes)
+    # In row order, which is `BuyerId` order, as `objective` sums.
+    value = sum((uos[bi][si] for bi, si in enumerate(witness)), 0.0)
+    return SolveResult(Assignment(_pair_list(m, witness)), value, nodes)
 
 
 def vcg_payment(

@@ -140,7 +140,7 @@ def reference_match(s: Scenario, broker: BrokerPrefList) -> tuple[Assignment | N
         return None, (("fail",),)
 
     m = broker.market
-    sp_of, edges = m.sp_of.tolist(), m.edge_lists()
+    sp_of, edges = m.sp_of.tolist(), m.edges
     seller_of = [-1] * total_buyers
     taken = [False] * len(m.sellers)
 

@@ -137,9 +137,7 @@ def test_criterion_5_baseline_dominance():
     lines = []
     ok = True
     for name in ("small", "large"):
-        summary, _ = experiment(
-            preset(name), trials=50, include_opt=False, preset_name=name
-        )
+        summary, _ = experiment(preset(name), trials=50, preset_name=name)
         stats = summary["mechanisms"]
         ours = stats["maxuosg"]["mean_objective"]
         assert ours is not None

@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from vcauction import GenConfig, config_to_dict, generate, preset, scenario_dumps, scenario_loads
+from vcauction import (
+    GenConfig,
+    Market,
+    config_to_dict,
+    generate,
+    preset,
+    scenario_dumps,
+    scenario_loads,
+)
 import vcauction.harness as harness
 from vcauction.cli import main
 from vcauction.optimal import BudgetExceeded, verify_truthfulness_opt
@@ -112,6 +120,27 @@ def test_non_finite_input_exits_2(tmp_path, tiny_scenario_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_boolean_in_a_scenario_file_exits_2(tmp_path, tiny_scenario_file, capsys):
+    """A JSON `true` where a scenario holds a number is an input error, not
+    the number 1."""
+    doc = json.loads(Path(tiny_scenario_file).read_text())
+    doc["seed"] = True
+    scenario = tmp_path / "bool.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["solve", str(scenario), "--mechanism", "opt"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_boolean_or_string_in_a_config_file_exits_2(tmp_path, capsys):
+    """A JSON `true` or a numeric string where a config holds a number is an
+    input error, not the number it spells."""
+    for key, bad in (("sp_count", True), ("alpha_range", ["2.5", "4.0"]), ("coverage_density", "1")):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({**config_to_dict(TINY_CFG), key: bad}))
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "s.json")]) == 2
+        assert "malformed config document" in capsys.readouterr().err
+
+
 def test_non_finite_budget_is_a_usage_error(tiny_scenario_file, capsys):
     """A NaN or infinite budget would never expire, so argparse refuses it."""
     for budget in ("nan", "inf", "-inf"):
@@ -187,11 +216,12 @@ def test_verify_budget_exceeded(tmp_path, capsys):
 
 def test_verify_budget_exceeded_inside_the_sweeps(tmp_path, monkeypatch, capsys):
     """A budget that runs out at the second winner's sweep, whatever the
-    speed, is reported as such, and is no violation."""
+    speed, is reported as such, and is no violation. Both sweeps get the
+    audit's one market and a finite deadline."""
     calls = []
 
     def second_call_runs_out(s, sid, **kwargs):
-        calls.append(sid)
+        calls.append(kwargs)
         if len(calls) == 2:
             raise BudgetExceeded("sweep stopped")
         return verify_truthfulness_opt(s, sid, **kwargs)
@@ -202,6 +232,8 @@ def test_verify_budget_exceeded_inside_the_sweeps(tmp_path, monkeypatch, capsys)
     assert main(["verify", str(path), "--mechanism", "opt"]) == 0
     assert "opt: budget exceeded before every sweep finished" in capsys.readouterr().out
     assert len(calls) == 2
+    assert isinstance(calls[0]["market"], Market) and calls[1]["market"] is calls[0]["market"]
+    assert all(math.isfinite(kwargs["deadline"]) for kwargs in calls)
 
 
 def test_maxuosg_budget_exceeded(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Valuation, UoS and constraint-rule tests, including a worked three-provider case."""
+import copy
 import dataclasses
 import itertools
+import operator
 import sys
 
 import math
@@ -35,8 +37,9 @@ from vcauction import (
     validate_scenario,
 )
 
+import vcauction.optimal as optimal
 from vcauction.economics import _drop_columns, _max_assignment
-from vcauction.matching import _all_rows_matched
+from vcauction.matching import _all_rows_matched, build_broker_list, match
 
 from helpers import make_tiny, three_provider_scenario
 
@@ -234,7 +237,7 @@ def _assert_kernel_matches_spec(s, m):
     for b1, b2, weight in s.job_edges():
         i, j = s.buyers.index(b1), s.buyers.index(b2)
         want = [[edge_feasible(s, m1, m2, weight) for m2 in range(n_sp)] for m1 in range(n_sp)]
-        assert tables[i, j].tolist() == want and tables[j, i].tolist() == want
+        assert tables[i, j] == want and tables[j, i] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,6 +266,26 @@ def test_market_kernel_equals_scalar_rules(source, seed, reverse, data):
     assert all(a is b for (_, a), (_, b) in zip(sum(rebid.edges, []), sum(m.edges, [])))
     # The source kernel is left as it was.
     _assert_kernel_matches_spec(s, m)
+
+
+def test_market_is_never_mutated():
+    """Building the broker list, scanning it, solving exactly with and
+    without a seller, and re-bidding leave every attribute of a market the
+    same object, with the same contents."""
+    s = generate(dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3)), seed=0)
+    m = Market(s)
+    before = dict(vars(m))
+    contents = copy.deepcopy(before)
+    match(s, build_broker_list(m))
+    lists = optimal._lists(m)
+    optimal._solve(m, lists, [], None)
+    optimal._solve(m, lists, [0], None)
+    m.with_bid(m.sellers[0], 0.5)
+    assert vars(m).keys() == before.keys()
+    assert [name for name, value in vars(m).items() if value is not before[name]] == []
+    for name, value in before.items():
+        same = np.array_equal if isinstance(value, np.ndarray) else operator.eq
+        assert same(value, contents[name]), name
 
 
 @st.composite

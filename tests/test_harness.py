@@ -2,6 +2,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import time
 from pathlib import Path
 
@@ -134,13 +135,6 @@ def test_experiment_row_layout():
         assert name in summary["improvement_over_baseline_pct"]
 
 
-def test_experiment_can_exclude_the_exact_solver():
-    summary, rows = experiment(TINY_CFG, trials=2, include_opt=False)
-    assert len(rows) == 8
-    assert "opt" not in {r["mechanism"] for r in rows}
-    assert summary["mechanisms"]["opt"]["successes"] == 0
-
-
 def test_ir_audit_ignores_payment_free_runs():
     s = generate(TINY_CFG, seed=0)
     run = run_mechanism(s, "lpm")
@@ -217,14 +211,14 @@ def test_shared_market_changes_no_audit():
 
 
 def test_market_copies_share_the_edge_lists():
-    """`with_bid` copies share the C2 list memo, though nothing filled it
-    before the first copy."""
+    """`with_bid` copies share the market's C2 tables, which are Python
+    lists built with the market."""
     s = generate(preset("small"), seed=0)
     m = Market(s)
     sid = m.sellers[0]
-    lists = m.with_bid(sid, 0.5).edge_lists()
-    assert m.edge_lists() is lists
-    assert m.with_bid(sid, 0.7).edge_lists() is lists
+    assert all(type(allowed) is list for nbrs in m.edges for _, allowed in nbrs)
+    assert m.with_bid(sid, 0.5).edges is m.edges
+    assert m.with_bid(sid, 0.7).edges is m.edges
 
 
 def test_verify_report_budget_bounds_the_exact_sweeps():
@@ -242,22 +236,43 @@ def test_verify_report_budget_bounds_the_exact_sweeps():
     assert report["truncated"] and not report["success"] and rows == []
 
 
-def test_verify_report_truncates_inside_the_sweeps(monkeypatch):
-    """A budget that runs out after the auction, at the second winner's
-    sweep, keeps the auction and the first sweep, whatever the speed."""
+def _truncated_at_the_second_sweep(monkeypatch, mechanism: str):
+    """`verify_report` on `small` seed 0 with the mechanism's sweep made to
+    run out of budget at the second winner. Each sweep gets the audit's one
+    market, compiled from the scenario, and a finite deadline."""
+    name = "verify_truthfulness_opt" if mechanism == "opt" else "verify_truthfulness_matching"
+    sweep_of = getattr(harness, name)
+    s = generate(preset("small"), seed=0)
     calls = []
 
     def second_call_runs_out(s, sid, **kwargs):
-        calls.append(sid)
+        calls.append(kwargs)
         if len(calls) == 2:
             raise BudgetExceeded("sweep stopped")
-        return verify_truthfulness_opt(s, sid, **kwargs)
+        return sweep_of(s, sid, **kwargs)
 
-    monkeypatch.setattr(harness, "verify_truthfulness_opt", second_call_runs_out)
-    report, rows = verify_report(generate(preset("small"), seed=0), "opt")
+    monkeypatch.setattr(harness, name, second_call_runs_out)
+    report, rows = verify_report(s, mechanism)
+    assert len(calls) == 2
+    market = calls[0]["market"]
+    assert isinstance(market, Market) and market.buyers == s.buyers
+    assert calls[1]["market"] is market
+    assert all(math.isfinite(kwargs["deadline"]) for kwargs in calls)
     assert report["truncated"] and report["success"]
     assert len(report["sweeps"]) == 1 < len(report["winners"])
     assert {r["seller"] for r in rows} == {"%d:%d:%d" % tuple(report["sweeps"][0]["seller"])}
+
+
+def test_verify_report_truncates_inside_the_sweeps(monkeypatch):
+    """A budget that runs out after the exact auction, at the second
+    winner's sweep, keeps the auction and the first sweep, whatever the
+    speed."""
+    _truncated_at_the_second_sweep(monkeypatch, "opt")
+
+
+def test_verify_report_truncates_inside_the_matching_sweeps(monkeypatch):
+    """The same for the matching auction and its sweeps."""
+    _truncated_at_the_second_sweep(monkeypatch, "maxuosg")
 
 
 def test_verify_report_infeasible_scenario():

@@ -24,6 +24,7 @@ from vcauction import (
     match,
     matching_payment,
     matching_payments,
+    objective,
     pair_feasible,
     preset,
     run_matching,
@@ -371,7 +372,7 @@ def test_payment_errors():
 def test_one_pass_pricing_matches_the_buyer_lists():
     """Every winner's payment is its gross value minus the value of the next
     entry in its buyer's own list, virtual entry included, and the objective
-    is the compiled market's, bit for bit."""
+    is the scalar `objective`, bit for bit."""
     cases = [make_tiny(seed) for seed in range(200)]
     cases += [generate(preset("small"), seed=seed) for seed in range(20)]
     cases += [generate(preset("large"), seed=seed) for seed in range(10)]
@@ -380,7 +381,7 @@ def test_one_pass_pricing_matches_the_buyer_lists():
         out = run_matching(s)
         if not out.success:
             continue
-        assert out.objective_value == Market(s).objective(out.assignment.pairs)
+        assert out.objective_value == objective(s, out.assignment)
         assert list(out.payments) == [sid for _, sid in out.assignment.pairs]
         for buyer, sid in out.assignment.pairs:
             entries = build_buyer_list(s, buyer).entries
