@@ -217,11 +217,11 @@ def _drop_columns(rows: list[list[tuple[int, float]]], cols: list[int], v: list[
         r = row_of[k]
         if r >= 0:
             row_of[k] = cols[r] = -1
-    open_ = [r for r, j in enumerate(cols) if j < 0]
-    if open_:
+    if -1 in cols:
         row_pot = [max(w - v[j] for j, w in cells) if j >= 0 else 0.0 for cells, j in zip(rows, cols)]
-        for r in open_:
-            if not _insert_row(rows, r, row_pot, v, row_of, cols):
+        # An insertion matches its row and leaves every matched row matched.
+        for r in range(len(rows)):
+            if cols[r] < 0 and not _insert_row(rows, r, row_pot, v, row_of, cols):
                 return -math.inf, cols, v
     return _matched_value(rows, cols), cols, v
 
