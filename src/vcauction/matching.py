@@ -16,15 +16,14 @@ clock against the run's deadline, and a scan past it raises
 the entry immediately behind it in that buyer's list, so payment always
 covers the bid.
 
-The pipeline reads the compiled `Market` by index: the broker list is one
-sort of the feasible cells into buyer, seller and value arrays, and the scan
-checks C2 with the helper the exact solvers use, on the market's C2 tables.
-Pricing walks the same arrays once for all winners, finding each buyer's
-winning entry and the entry behind it, and sums the objective from the
-winning entries. The bid sweep compiles the
-market once (or takes the caller's) and re-prices one column of it per
-grid point. `PrefEntry` and `build_buyer_list` are the per-buyer view that
-`verify` serialises.
+The pipeline works on the compiled `Market`'s rows and columns: the broker
+list is one sort of the feasible cells into buyer, seller and value arrays;
+`_scan` walks them and gives each buyer row a seller column, with a trace
+only when asked, checking C2 with the exact solvers' helper; `_prices` walks
+them once for the columns asked. The public wrappers alone build
+`Assignment`s and traces. A bid sweep's grid point re-prices one column of a
+market compiled once, scans it untraced and prices the swept seller alone.
+`PrefEntry` and `build_buyer_list` are the per-buyer view `verify` serialises.
 """
 from __future__ import annotations
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .model import TOLERANCE, Assignment, BuyerId, Scenario, SellerId
 from .economics import Market, _edges_ok
-from .optimal import BudgetExceeded, default_bid_grid
+from .optimal import BudgetExceeded, _pair_list, default_bid_grid
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -193,25 +192,31 @@ def match(
     positions, so the most recently accepted pair is the deepest one. A
     buyer with no entry at all fails the scan at once, with trace
     (("fail",),). Every entry is C1-feasible, so the scan checks C2 and C4.
-
-    From the first dead end on, the scan prunes: a state whose open buyers
-    cannot all get distinct free sellers from their entries at or past the
-    resume position, C2-compatible with the placed buyers, holds no
-    completion. `_all_rows_matched` answers that by unweighted augmenting
-    paths. Such a state is recorded as ("prune", position) and left as a
-    dead end, so the first completion found is the unpruned scan's. If the
-    buyers cannot get distinct sellers from their whole lists, the scan
-    fails there. Deletes and restarts raise BudgetExceeded past the
-    `perf_counter` time `deadline`.
+    A prune marks a state that holds no completion (see `_scan`); a trace
+    ending ("prune", 0), ("fail",) means the buyers cannot get distinct
+    sellers from their whole lists. Deletes and restarts raise
+    BudgetExceeded past the `perf_counter` time `deadline`.
     """
-    total_buyers = len(s.buyers)
-    if total_buyers == 0:
-        return Assignment(()), (("complete",),)
+    trace: list[tuple] = []
+    seller_of = _scan(broker, deadline, trace)
+    assignment = None if seller_of is None else Assignment(_pair_list(broker.market, seller_of))
+    return assignment, tuple(trace)
+
+
+def _scan(broker: BrokerPrefList, deadline: float | None, trace: list | None) -> list[int] | None:
+    """The scan of `match` on indices: each buyer row's seller column, or
+    None on failure. Events go to `trace` only when it is a list. The prune
+    test at a state is `hall`: the open buyers' entries at or past the resume
+    position, C2-compatible with the placed buyers, must give each its own
+    free seller (`_all_rows_matched`)."""
+    m = broker.market
+    total_buyers = len(m.buyers)
     eb, es = broker.buyer.tolist(), broker.seller.tolist()
     if len(set(eb)) < total_buyers:
-        return None, (("fail",),)
+        if trace is not None:
+            trace.append(("fail",))
+        return None
 
-    m = broker.market
     sp_of, edges = m.sp_of.tolist(), m.edges
     n_sellers = len(m.sellers)
     seller_of = [-1] * total_buyers
@@ -244,60 +249,94 @@ def match(
         return _all_rows_matched(rows, n_sellers)
 
     L = len(eb)
-    stack: list[int] = [0]
-    put(0)
-    trace: list[tuple] = [("accept", 0)]
-    pos = 1
+    stack: list[int] = []
+    pos = 0
 
     while True:
         idx = pos
         while idx < L and len(stack) < total_buyers:
             bi, si = eb[idx], es[idx]
             if seller_of[bi] >= 0 or taken[si]:
-                trace.append(("skip", idx))
+                if trace is not None:
+                    trace.append(("skip", idx))
             elif not _edges_ok(edges, sp_of, seller_of, bi, si):
-                trace.append(("reject", idx))
+                if trace is not None:
+                    trace.append(("reject", idx))
             else:
                 stack.append(idx)
                 put(idx)
-                trace.append(("accept", idx))
+                if trace is not None:
+                    trace.append(("accept", idx))
                 if positions and len(stack) < total_buyers and not hall(idx + 1):
-                    trace.append(("prune", idx + 1))
+                    if trace is not None:
+                        trace.append(("prune", idx + 1))
                     break
             idx += 1
         if len(stack) == total_buyers:
-            trace.append(("complete",))
-            pairs = [(m.buyers[bi], m.sellers[si]) for bi, si in enumerate(seller_of)]
-            return Assignment.from_pairs(pairs), tuple(trace)
+            if trace is not None:
+                trace.append(("complete",))
+            return seller_of
         if not positions:
             positions = [[] for _ in range(total_buyers)]
             for i, bi in enumerate(eb):
                 positions[bi].append(i)
             if not _all_rows_matched([[es[i] for i in own] for own in positions], n_sellers):
-                trace += [("prune", 0), ("fail",)]
-                return None, tuple(trace)
+                if trace is not None:
+                    trace += [("prune", 0), ("fail",)]
+                return None
         # Backtrack until a state passes the prune test.
         while True:
             if deadline is not None and time.perf_counter() > deadline:
-                raise BudgetExceeded(f"matching scan stopped after {len(trace)} events")
+                raise BudgetExceeded(f"matching scan stopped at list position {pos}")
             if len(stack) > 1:
                 dropped = stack.pop()
                 drop(dropped)
-                trace.append(("delete", dropped))
+                if trace is not None:
+                    trace.append(("delete", dropped))
                 pos = dropped + 1
             else:
                 anchor = stack[0] + 1
                 if anchor >= L:
-                    trace.append(("fail",))
-                    return None, tuple(trace)
+                    if trace is not None:
+                        trace.append(("fail",))
+                    return None
                 drop(stack[0])
                 stack[0] = anchor
                 put(anchor)
-                trace.append(("restart", anchor))
+                if trace is not None:
+                    trace.append(("restart", anchor))
                 pos = anchor + 1
             if hall(pos):
                 break
-            trace.append(("prune", pos))
+            if trace is not None:
+                trace.append(("prune", pos))
+
+
+def _prices(broker: BrokerPrefList, want: list[int]) -> tuple[float, list[float | None]]:
+    """The objective and a payment per buyer row for the columns `want`
+    (-1: none), from one walk of the broker list that stops once every such
+    row has its entry and the entry behind it. A payment is None where the
+    row prices no column or its column is not in the row's list."""
+    m = broker.market
+    own: list[float | None] = [None] * len(want)
+    behind: list[float | None] = [None] * len(want)
+    left = sum(si >= 0 for si in want)
+    for bi, si, v in zip(broker.buyer.tolist(), broker.seller.tolist(), broker.value.tolist()):
+        if own[bi] is None:
+            if si == want[bi]:
+                own[bi] = v
+        elif behind[bi] is None:
+            behind[bi] = v
+            left -= 1
+            if not left:
+                break
+    payments: list[float | None] = [None] * len(want)
+    for bi, (si, value, after) in enumerate(zip(want, own, behind)):
+        if value is not None:
+            if after is None:
+                after = value - DEFAULT_DELTA  # the virtual critical entry
+            payments[bi] = m.gross[bi, si].item() - after
+    return sum([v for v in own if v is not None], 0.0), payments
 
 
 def matching_payments(
@@ -311,36 +350,20 @@ def matching_payments(
     or the virtual critical one. Since lists are sorted, payment never drops
     below the bid. The objective sums the winners' entries in row order,
     which is `BuyerId` order, so it equals `economics.objective` bit for bit
-    on the scenario with the market's bids.
-    Payments follow `assignment.pairs`.
+    on the scenario with the market's bids. Payments follow `assignment.pairs`.
     """
     m = broker.market
     rows = [m.buyer_index[b] for b, _ in assignment.pairs]
-    cols = [m.seller_index.get(sid, -1) for _, sid in assignment.pairs]
     want = [-1] * len(m.buyers)
-    for bi, si in zip(rows, cols):
-        want[bi] = si
-    own: list[float | None] = [None] * len(m.buyers)
-    behind: list[float | None] = [None] * len(m.buyers)
-    left = len(rows)
-    for bi, si, v in zip(broker.buyer.tolist(), broker.seller.tolist(), broker.value.tolist()):
-        if own[bi] is None:
-            if si == want[bi]:
-                own[bi] = v
-        elif behind[bi] is None:
-            behind[bi] = v
-            left -= 1
-            if not left:
-                break
+    for bi, (_, sid) in zip(rows, assignment.pairs):
+        want[bi] = m.seller_index.get(sid, -1)
+    objective, priced = _prices(broker, want)
     payments = {}
-    for (buyer, sid), bi, si in zip(assignment.pairs, rows, cols):
-        value, after = own[bi], behind[bi]
-        if value is None:
+    for (buyer, sid), bi in zip(assignment.pairs, rows):
+        if priced[bi] is None:
             raise ValueError(f"{sid.label()} not in {buyer.label()}'s list")
-        if after is None:
-            after = value - DEFAULT_DELTA  # the virtual critical entry
-        payments[sid] = m.gross[bi, si].item() - after
-    return sum([own[bi] for bi in sorted(rows)], 0.0), payments
+        payments[sid] = priced[bi]
+    return objective, payments
 
 
 def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: SellerId) -> float:
@@ -354,20 +377,10 @@ def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: Sel
 def run_matching(s: Scenario, *, deadline: float | None = None) -> MatchingOutcome:
     """Full pipeline: build the broker list, match, price winners. The scan
     raises BudgetExceeded past the `perf_counter` time `deadline`."""
-    return _run(s, Market(s), deadline)[0]
-
-
-def _run(
-    s: Scenario, market: Market, deadline: float | None
-) -> tuple[MatchingOutcome, BrokerPrefList]:
-    """run_matching on `s` compiled into `market`, which may carry a bid that
-    `s` does not; also returns the broker list."""
-    broker = build_broker_list(market)
+    broker = build_broker_list(Market(s))
     assignment, trace = match(s, broker, deadline=deadline)
-    if assignment is None:
-        return MatchingOutcome(None, 0.0, {}, trace), broker
-    objective, payments = matching_payments(broker, assignment)
-    return MatchingOutcome(assignment, objective, payments, trace), broker
+    objective, payments = (0.0, {}) if assignment is None else matching_payments(broker, assignment)
+    return MatchingOutcome(assignment, objective, payments, trace)
 
 
 def _classify(utility: float, truthful_utility: float, won: bool) -> str:
@@ -393,17 +406,26 @@ def verify_truthfulness_matching(
     records the misreport outcome and whether the perturbation left the
     broker list's pair order unchanged (the regime where no misreport should
     ever beat truth-telling). `market` is `s` compiled, when the caller
-    already has it; every grid point re-prices one column of it. Every scan
-    stops with BudgetExceeded past the `perf_counter` time `deadline`.
+    already has it; every grid point re-prices one column of it, and its row
+    equals `run_matching` on `s` with that bid. The sweep reads the clock
+    before each grid point, and the scan at each backtrack: both raise
+    BudgetExceeded past the `perf_counter` time `deadline`.
     """
     q = s.seller(sid).true_value
     if market is None:
         market = Market(s)
+    col = market.seller_index[sid]
     rows, shapes = [], []
     for bid in default_bid_grid(q):
-        outcome, broker = _run(s, market.with_bid(sid, bid), deadline)
-        won = outcome.success and sid in outcome.payments
-        payment = outcome.payments[sid] if won else None
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(f"matching sweep of {sid.label()} stopped at bid {bid}")
+        broker = build_broker_list(market.with_bid(sid, bid))
+        seller_of = _scan(broker, deadline, None) or []
+        payment = None
+        if col in seller_of:
+            want = [si if si == col else -1 for si in seller_of]
+            payment = _prices(broker, want)[1][seller_of.index(col)]
+        won = payment is not None
         utility = (payment - q) if won else 0.0
         rows.append({"bid": bid, "won": won, "payment": payment, "utility": utility})
         shapes.append((broker.buyer.tobytes(), broker.seller.tobytes()))

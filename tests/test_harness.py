@@ -236,6 +236,17 @@ def test_verify_report_budget_bounds_the_exact_sweeps():
     assert report["truncated"] and not report["success"] and rows == []
 
 
+def test_zero_budget_truncates_a_matching_audit_whose_scans_never_backtrack():
+    """No scan on `small` seed 0 backtracks, so none reads the clock; the
+    sweeps read it before each grid point, so a zero budget stops the audit
+    before its first sweep row. The auction itself still completes."""
+    s = generate(preset("small"), seed=0)
+    assert run_mechanism(s, "maxuosg", budget_secs=0.0).success
+    report, rows = verify_report(s, "maxuosg", budget_secs=0.0)
+    assert report["success"] and report["truncated"]
+    assert report["sweeps"] == [] and rows == []
+
+
 def _truncated_at_the_second_sweep(monkeypatch, mechanism: str):
     """`verify_report` on `small` seed 0 with the mechanism's sweep made to
     run out of budget at the second winner. Each sweep gets the audit's one

@@ -207,6 +207,33 @@ def test_pruned_scan_returns_the_reference_assignment():
     assert pruned >= 20
 
 
+def test_trace_free_scan_equals_the_traced_one():
+    """The sweeps scan without a trace. That scan gives every buyer row the
+    seller column `match` gives it, and given a list it builds exactly
+    `match`'s trace, on backtracking and pruning scans too."""
+    cases = [make_tiny(seed) for seed in range(200)]
+    cases += [generate(SPARSE, seed=seed) for seed in range(17)]
+    cases += [generate(C2_BINDING, seed=seed) for seed in range(10)]
+    cases.append(backtrack_scenario())
+    backtracked = 0
+    for s in cases:
+        broker = build_broker_list(Market(s))
+        assignment, trace = match(s, broker)
+        seller_of = matching_module._scan(broker, None, None)
+        if assignment is None:
+            assert seller_of is None
+        else:
+            m = broker.market
+            assert assignment.pairs == tuple(
+                (m.buyers[bi], m.sellers[si]) for bi, si in enumerate(seller_of)
+            )
+        traced = []
+        assert matching_module._scan(broker, None, traced) == seller_of
+        assert tuple(traced) == trace
+        backtracked += any(ev[0] in ("delete", "restart") for ev in trace)
+    assert backtracked >= 10
+
+
 def _timed_scan(cfg, seed):
     """The scan on `cfg` at `seed`, stopped by its budget after 1 s."""
     s = generate(cfg, seed=seed)
@@ -467,14 +494,32 @@ def test_sweep_runs_the_matching_once_per_grid_point(monkeypatch):
     """The truthful run is the grid row at the true value, not an extra run."""
     s, sid = _small_sweep_seller()
     calls = []
+    scan = matching_module._scan
 
-    def counting_match(*args, **kwargs):
+    def counting_scan(*args, **kwargs):
         calls.append(1)
-        return match(*args, **kwargs)
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(matching_module, "match", counting_match)
+    monkeypatch.setattr(matching_module, "_scan", counting_scan)
     report = verify_truthfulness_matching(s, sid)
     assert len(calls) == len(report["rows"]) == 22
+
+
+def test_sweep_is_the_per_bid_pipeline():
+    """Each grid point scans and prices on indices, the swept seller alone;
+    every row still equals `run_matching` on the scenario with that bid, bit
+    for bit."""
+    cases = [make_tiny(seed) for seed in range(24)]
+    cases += [generate(preset("small"), seed=seed) for seed in range(4)]
+    checked = 0
+    for s in cases:
+        for sid in run_matching(s).payments:
+            for row in verify_truthfulness_matching(s, sid)["rows"]:
+                alone = run_matching(s.with_seller_bid(sid, row["bid"]))
+                assert row["won"] == (sid in alone.payments)
+                assert row["payment"] == alone.payments.get(sid)
+                checked += 1
+    assert checked >= 900
 
 
 def test_sweep_reads_truthful_play_from_its_own_row():
