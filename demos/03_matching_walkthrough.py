@@ -5,9 +5,9 @@ Run: python3 demos/03_matching_walkthrough.py
 from collections import Counter
 
 from vcauction import (
+    DEFAULT_DELTA,
     Market,
     build_broker_list,
-    build_buyer_list,
     generate,
     preset,
     run_matching,
@@ -17,18 +17,17 @@ from vcauction import (
 s = generate(preset("small"), seed=3)
 print(f"scenario: {len(s.buyers)} buyers, {len(s.sellers)} sellers")
 
-# Each buyer ranks its feasible sellers by net value; a virtual entry just
-# below the cheapest real one terminates every list.
-lists = [build_buyer_list(s, b) for b in s.buyers]
-for lst in lists[:3]:
-    head = ", ".join(
-        f"{e.seller.label()}@{e.value:.3f}" for e in lst.real_entries()[:3]
-    )
-    print(f"  {lst.buyer.label()}: {len(lst.real_entries())} sellers "
-          f"[{head}, ...], virtual floor {lst.entries[-1].value:.3f}")
-
-# The broker merges every real entry into one list, read by market index.
-broker = build_broker_list(Market(s))
+# The broker merges every buyer's feasible sellers into one list, best net
+# value first, read by market index. A buyer's entries in it are its own
+# ranking; a virtual entry just below the cheapest real one ends each list.
+m = Market(s)
+broker = build_broker_list(m)
+for bi, buyer in enumerate(m.buyers[:3]):
+    mine = broker.buyer == bi
+    cols, values = broker.seller[mine].tolist(), broker.value[mine].tolist()
+    head = ", ".join(f"{m.sellers[k].label()}@{v:.3f}" for k, v in zip(cols[:3], values[:3]))
+    print(f"  {buyer.label()}: {len(cols)} sellers "
+          f"[{head}, ...], virtual floor {values[-1] - DEFAULT_DELTA:.3f}")
 print(f"broker list: {len(broker.value)} entries, "
       f"top value {broker.value[0]:.3f}")
 

@@ -10,12 +10,15 @@ seller serve at most one buyer.
 
 The scalar predicates below are the readable specification. `Market`
 compiles a scenario once into arrays that give the same answers for every
-pair, and the mechanisms read the compiled form.
+pair, and the mechanisms read the compiled form. `build_broker_list` is the
+one ranking of each buyer's C1 sellers, best UoS first and ties by seller,
+that the matching, the exact solver and the `verify` report read.
 """
 from __future__ import annotations
 
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,6 +173,27 @@ class Market:
         m.feasible = self.feasible.copy()
         m.feasible[:, k] = self._admissible[:, k] & (m.uos[:, k] > TOLERANCE)
         return m
+
+
+@dataclass(frozen=True, eq=False)
+class BrokerPrefList:
+    """Every real entry in scan order: entry i offers seller column
+    `seller[i]` of `market` to buyer row `buyer[i]` at `value[i]`."""
+
+    market: Market
+    buyer: np.ndarray
+    seller: np.ndarray
+    value: np.ndarray
+
+
+def build_broker_list(market: Market) -> BrokerPrefList:
+    """Merge all feasible cells, best value first; ties by buyer then seller
+    (rows and columns are in `BuyerId` and `SellerId` order). A buyer's
+    entries, in this order, are its own ranking."""
+    rows, cols = np.nonzero(market.feasible)
+    values = market.uos[rows, cols]
+    order = np.lexsort((cols, rows, -values))
+    return BrokerPrefList(market, rows[order], cols[order], values[order])
 
 
 def _edges_ok(edges: list, sp_of: list[int], assigned: list[int], bi: int, si: int) -> bool:

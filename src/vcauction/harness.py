@@ -26,13 +26,7 @@ from .optimal import (
     solve_optimal,
     verify_truthfulness_opt,
 )
-from .matching import (
-    BuyerPrefList,
-    build_broker_list,
-    build_buyer_list,
-    run_matching,
-    verify_truthfulness_matching,
-)
+from .matching import DEFAULT_DELTA, build_broker_list, run_matching, verify_truthfulness_matching
 from .baselines import BASELINE_KINDS, run_baseline
 from .generator import GenConfig, config_to_dict, generate, preset
 
@@ -47,7 +41,6 @@ __all__ = [
     "experiment",
     "verify_report",
     "bench_sweep",
-    "serialize_buyer_lists",
 ]
 
 MECHANISMS = ("opt", "maxuosg") + BASELINE_KINDS
@@ -276,28 +269,6 @@ def experiment(
     return summary, rows
 
 
-def serialize_buyer_lists(lists: dict[BuyerId, BuyerPrefList]) -> list[dict]:
-    out = []
-    for buyer in sorted(lists):
-        lst = lists[buyer]
-        out.append(
-            {
-                "buyer": [buyer.job_index, buyer.component_index],
-                "entries": [
-                    {
-                        "index": i,
-                        "seller": None
-                        if e.seller is None
-                        else [e.seller.sp_index, e.seller.vm_index, e.seller.rank],
-                        "value": e.value,
-                    }
-                    for i, e in enumerate(lst.entries)
-                ],
-            }
-        )
-    return out
-
-
 def verify_report(
     s: Scenario,
     mechanism: str = "maxuosg",
@@ -343,13 +314,23 @@ def verify_report(
 
     market = Market(s)  # shared by the report and every sweep
     if mechanism == "maxuosg":
-        lists = {b: build_buyer_list(s, b, market=market) for b in s.buyers}
-        report["buyer_lists"] = serialize_buyer_lists(lists)
+        # One pass writes the broker list and each buyer's entries in its order.
         broker = build_broker_list(market)
-        report["broker_list"] = [
-            {**_pair_doc(market.buyers[i], market.sellers[k]), "value": v}
-            for i, k, v in zip(broker.buyer.tolist(), broker.seller.tolist(), broker.value.tolist())
+        merged, own = [], [[] for _ in market.buyers]
+        for i, k, v in zip(broker.buyer.tolist(), broker.seller.tolist(), broker.value.tolist()):
+            pair = _pair_doc(market.buyers[i], market.sellers[k])
+            merged.append({**pair, "value": v})
+            own[i].append({"index": len(own[i]), "seller": pair["seller"], "value": v})
+        # A buyer with no entry fails the scan, and a failed run returned
+        # above: each list has a last real entry to put the virtual one below.
+        for entries in own:
+            floor = entries[-1]["value"] - DEFAULT_DELTA
+            entries.append({"index": len(entries), "seller": None, "value": floor})
+        report["buyer_lists"] = [
+            {"buyer": [b.job_index, b.component_index], "entries": entries}
+            for b, entries in zip(market.buyers, own)
         ]
+        report["broker_list"] = merged
         assert run.assignment is not None
         report["pairs"] = _pairs_doc(run.assignment)
 

@@ -17,13 +17,15 @@ the entry immediately behind it in that buyer's list, so payment always
 covers the bid.
 
 The pipeline works on the compiled `Market`'s rows and columns: the broker
-list is one sort of the feasible cells into buyer, seller and value arrays;
+list (`economics.build_broker_list`) is one sort of the feasible cells into
+buyer, seller and value arrays, and a buyer's entries in it are its list;
 `_scan` walks them and gives each buyer row a seller column, with a trace
 only when asked, checking C2 with the exact solvers' helper; `_prices` walks
 them once for the columns asked. The public wrappers alone build
 `Assignment`s and traces. A bid sweep's grid point re-prices one column of a
 market compiled once, scans it untraced and prices the swept seller alone.
-`PrefEntry` and `build_buyer_list` are the per-buyer view `verify` serialises.
+`PrefEntry` and `build_buyer_list` rank one buyer on their own: the
+reference that the broker list's per-buyer order is tested against.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, BuyerId, Scenario, SellerId
-from .economics import Market, _edges_ok
+from .economics import BrokerPrefList, Market, _edges_ok, build_broker_list
 from .optimal import BudgetExceeded, _pair_list, default_bid_grid
 
 __all__ = [
@@ -77,17 +79,6 @@ class BuyerPrefList:
         return self.entries[:-1]
 
 
-@dataclass(frozen=True, eq=False)
-class BrokerPrefList:
-    """Every real entry in scan order: entry i offers seller column
-    `seller[i]` of `market` to buyer row `buyer[i]` at `value[i]`."""
-
-    market: Market
-    buyer: np.ndarray
-    seller: np.ndarray
-    value: np.ndarray
-
-
 @dataclass(frozen=True)
 class MatchingOutcome:
     """assignment is None when the scan exhausted its anchors."""
@@ -102,15 +93,14 @@ class MatchingOutcome:
         return self.assignment is not None
 
 
-def build_buyer_list(
-    s: Scenario, buyer: BuyerId, market: Market | None = None
-) -> BuyerPrefList:
+def build_buyer_list(s: Scenario, buyer: BuyerId) -> BuyerPrefList:
     """Rank feasible sellers by value, best first, virtual entry last.
 
     An empty real list yields a single virtual entry of value -DEFAULT_DELTA.
-    `market` is `s` compiled, when the caller already has it.
+    The mechanisms and `verify` read a buyer's entries of `build_broker_list`;
+    this sort of one row stays as the reference they are tested against.
     """
-    m = market if market is not None else Market(s)
+    m = Market(s)
     bi = m.buyer_index.get(buyer)
     if bi is None:
         raise ValueError(f"unknown buyer {buyer.label()}")
@@ -124,15 +114,6 @@ def build_buyer_list(
     floor = real[-1].value if real else 0.0
     entries = tuple(real) + (PrefEntry(buyer, None, floor - DEFAULT_DELTA),)
     return BuyerPrefList(buyer, entries)
-
-
-def build_broker_list(market: Market) -> BrokerPrefList:
-    """Merge all feasible cells, best value first; ties by buyer then seller
-    (rows and columns are in `BuyerId` and `SellerId` order)."""
-    rows, cols = np.nonzero(market.feasible)
-    values = market.uos[rows, cols]
-    order = np.lexsort((cols, rows, -values))
-    return BrokerPrefList(market, rows[order], cols[order], values[order])
 
 
 def _all_rows_matched(rows: list[list[int]], n_cols: int) -> bool:
@@ -254,7 +235,7 @@ def _scan(broker: BrokerPrefList, deadline: float | None, trace: list | None) ->
 
     while True:
         idx = pos
-        while idx < L and len(stack) < total_buyers:
+        while idx < L:
             bi, si = eb[idx], es[idx]
             if seller_of[bi] >= 0 or taken[si]:
                 if trace is not None:
@@ -267,7 +248,9 @@ def _scan(broker: BrokerPrefList, deadline: float | None, trace: list | None) ->
                 put(idx)
                 if trace is not None:
                     trace.append(("accept", idx))
-                if positions and len(stack) < total_buyers and not hall(idx + 1):
+                if len(stack) == total_buyers:
+                    break
+                if positions and not hall(idx + 1):
                     if trace is not None:
                         trace.append(("prune", idx + 1))
                     break

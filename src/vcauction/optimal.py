@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, Scenario, SellerId
-from .economics import Market, _drop_columns, _edges_ok, _max_assignment, objective
+from .economics import Market, _drop_columns, _edges_ok, _max_assignment, build_broker_list, objective
 
 __all__ = [
     "BudgetExceeded",
@@ -167,13 +167,13 @@ def solve_optimal(
 def _lists(m: Market) -> tuple:
     """The list form of `m` that the solver loops read: UoS and C1 per
     buyer and seller, each seller's provider, the C2 tables `m.edges`, each
-    buyer's C1 sellers by descending UoS, and the root relaxation: the C1
+    buyer's C1 sellers in broker-list order, and the root relaxation: the C1
     assignment solve of every buyer, as `relax` in `_solve` returns it."""
     uos, feasible = m.uos.tolist(), m.feasible.tolist()
-    candidates = [
-        sorted((si for si, ok in enumerate(row) if ok), key=lambda si: (-values[si], si))
-        for row, values in zip(feasible, uos)
-    ]
+    broker = build_broker_list(m)
+    candidates: list[list[int]] = [[] for _ in m.buyers]
+    for bi, si in zip(broker.buyer.tolist(), broker.seller.tolist()):
+        candidates[bi].append(si)
     order = sorted(range(len(candidates)), key=lambda bi: (len(candidates[bi]), bi))
     rows = [[(si, uos[bi][si]) for si in candidates[bi]] for bi in order]
     root = (order, *_max_assignment(rows, len(m.sellers)))

@@ -25,7 +25,6 @@ from vcauction import (
     run_optimal_mechanism,
     run_to_doc,
     scenario_digest,
-    serialize_buyer_lists,
     solve_optimal,
     verify_report,
     verify_truthfulness_matching,
@@ -296,18 +295,42 @@ def test_verify_report_infeasible_scenario():
         verify_report(s, "lpm")
 
 
-def test_serialize_buyer_lists_order():
+def test_verify_buyer_lists_equal_the_per_buyer_reference():
+    """`verify` writes each buyer's list from the broker arrays; it equals
+    `build_buyer_list` serialised entry by entry, buyers in `BuyerId` order,
+    every value bit for bit, the virtual floor included."""
     from vcauction import build_buyer_list
 
-    s = generate(TINY_CFG, seed=0)
-    lists = {b: build_buyer_list(s, b) for b in s.buyers}
-    docs = serialize_buyer_lists(lists)
-    assert [tuple(d["buyer"]) for d in docs] == sorted(
-        (b.job_index, b.component_index) for b in s.buyers
-    )
-    for d in docs:
-        assert d["entries"][-1]["seller"] is None
-        assert [e["index"] for e in d["entries"]] == list(range(len(d["entries"])))
+    def reference(s):
+        return [
+            {
+                "buyer": [b.job_index, b.component_index],
+                "entries": [
+                    {
+                        "index": i,
+                        "seller": None
+                        if e.seller is None
+                        else [e.seller.sp_index, e.seller.vm_index, e.seller.rank],
+                        "value": e.value,
+                    }
+                    for i, e in enumerate(build_buyer_list(s, b).entries)
+                ],
+            }
+            for b in sorted(s.buyers)
+        ]
+
+    checked = 0
+    scenarios = [make_tiny(seed) for seed in range(24)]
+    scenarios += [generate(preset("small"), seed=seed) for seed in range(4)]
+    for s in scenarios:
+        report, _ = verify_report(s, "maxuosg")
+        if report["success"]:
+            # json.dumps writes each float by repr, which tells every bit.
+            assert json.dumps(report["buyer_lists"]) == json.dumps(reference(s))
+            checked += 1
+        else:
+            assert "buyer_lists" not in report
+    assert checked == 10
 
 
 def test_bench_sweep_smoke():

@@ -1,4 +1,5 @@
 """Exact-solver tests: brute-force oracles, pivot payments, bid sweeps."""
+import dataclasses
 import itertools
 import json
 import math
@@ -163,6 +164,23 @@ def test_c2_binding_solves_match_enumeration():
             assert payment == root.objective_value - f_wo + s.seller(winner).bid, (seed, winner)
         searched += out.explored_nodes > 0
     assert searched >= 10
+
+
+def test_candidates_are_each_rows_sellers_by_descending_uos():
+    """The list form's candidates, split from the broker list, are each
+    buyer's C1 sellers sorted on their own by (-UoS, seller)."""
+    c2 = dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3))
+    scenarios = [make_tiny(seed) for seed in range(200)]
+    scenarios += [generate(preset("small"), seed=seed) for seed in range(20)]
+    scenarios += [generate(c2, seed=seed) for seed in range(10)]
+    scenarios += [generate(preset("large"), seed=seed) for seed in range(10)]
+    for s in scenarios:
+        m = Market(s)
+        want = [
+            sorted((si for si, ok in enumerate(row) if ok), key=lambda si: (-values[si], si))
+            for row, values in zip(m.feasible.tolist(), m.uos.tolist())
+        ]
+        assert _lists(m)[4] == want
 
 
 def test_pivot_resolves_match_enumeration():
