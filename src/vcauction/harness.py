@@ -208,9 +208,6 @@ def experiment(
     is at or below OPT_BUYER_CUTOFF.
     """
     rows: list[dict] = []
-    sums: dict[str, float] = {}
-    times: dict[str, float] = {}
-    wins: dict[str, int] = {}
     any_ir: list[str] = []
 
     for trial in range(trials):
@@ -235,18 +232,15 @@ def experiment(
                     "truncated": int(run.truncated),
                 }
             )
-            if run.success:
-                sums[name] = sums.get(name, 0.0) + run.objective_value
-                times[name] = times.get(name, 0.0) + run.runtime_secs
-                wins[name] = wins.get(name, 0) + 1
 
     mech_stats = {}
     for name in MECHANISMS:
-        n = wins.get(name, 0)
+        won = [r for r in rows if r["mechanism"] == name and r["success"]]
+        n = len(won)
         mech_stats[name] = {
             "successes": n,
-            "mean_objective": (sums[name] / n) if n else None,
-            "mean_runtime_secs": (times[name] / n) if n else None,
+            "mean_objective": sum(r["objective"] for r in won) / n if n else None,
+            "mean_runtime_secs": sum(r["runtime_secs"] for r in won) / n if n else None,
         }
     improvements = {}
     base_mean = mech_stats["maxuosg"]["mean_objective"]
@@ -368,6 +362,17 @@ def verify_report(
     return report, rows
 
 
+def _timed(solve, s: Scenario, budget_secs: float | None) -> tuple:
+    """`solve(s)` under its own budget: its result, None past the budget,
+    and the seconds it took."""
+    t0 = time.perf_counter()
+    try:
+        res = solve(s, deadline=_deadline_after(budget_secs))
+    except BudgetExceeded:
+        res = None
+    return res, time.perf_counter() - t0
+
+
 def bench_sweep(
     job_type: int,
     sp_counts: list[int],
@@ -379,8 +384,9 @@ def bench_sweep(
     Three timings per cell: the literal enumeration (whose cost is the
     b!*C(s,b) candidate count and therefore grows monotonically with seller
     count), the pruned branch-and-bound solver, and the matching mechanism.
-    Enumeration and branch-and-bound share the budget; a cell that exhausts
-    it is flagged incomplete instead of hanging the sweep.
+    Enumeration, branch and bound, and the matching run each get their own
+    budget; enumeration or branch and bound past it is flagged incomplete
+    instead of hanging the sweep.
     """
     import math
 
@@ -396,35 +402,19 @@ def bench_sweep(
         )
         s = generate(cfg_cell, seed=base_seed + sp)
 
-        t0 = time.perf_counter()
-        enum_completed = True
-        enum_maps: int | str = ""
-        try:
-            enum_res = solve_naive(s, deadline=_deadline_after(budget_secs))
-            enum_maps = enum_res.explored
-        except BudgetExceeded:
-            enum_completed = False
-        enum_runtime = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        bnb_completed = True
-        try:
-            solve_optimal(s, deadline=_deadline_after(budget_secs))
-        except BudgetExceeded:
-            bnb_completed = False
-        bnb_runtime = time.perf_counter() - t0
-
+        enum_res, enum_runtime = _timed(solve_naive, s, budget_secs)
+        bnb_res, bnb_runtime = _timed(solve_optimal, s, budget_secs)
         match_run = run_mechanism(s, "maxuosg", budget_secs=budget_secs)
         row = {
             "job_type": job_type,
             "sp_count": sp,
             "buyers": len(s.buyers),
             "sellers": len(s.sellers),
-            "enum_completed": int(enum_completed),
-            "enum_maps": enum_maps,
+            "enum_completed": int(enum_res is not None),
+            "enum_maps": "" if enum_res is None else enum_res.explored,
             "enum_runtime_secs": enum_runtime,
             "enum_log10_runtime": log10_or_blank(enum_runtime),
-            "bnb_completed": int(bnb_completed),
+            "bnb_completed": int(bnb_res is not None),
             "bnb_runtime_secs": bnb_runtime,
             "bnb_log10_runtime": log10_or_blank(bnb_runtime),
             "maxuosg_runtime_secs": match_run.runtime_secs,

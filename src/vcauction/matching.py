@@ -37,7 +37,7 @@ import numpy as np
 
 from .model import TOLERANCE, Assignment, BuyerId, Scenario, SellerId
 from .economics import BrokerPrefList, Market, _edges_ok, build_broker_list
-from .optimal import BudgetExceeded, _pair_list, default_bid_grid
+from .optimal import BudgetExceeded, _pair_list, _sweep
 
 __all__ = [
     "DEFAULT_DELTA",
@@ -381,50 +381,43 @@ def _classify(utility: float, truthful_utility: float, won: bool) -> str:
 def verify_truthfulness_matching(
     s: Scenario, sid: SellerId, *, market: Market | None = None, deadline: float | None = None
 ) -> dict:
-    """Sweep one seller's bid over `default_bid_grid(q)` through the full
-    matching pipeline.
+    """`_sweep` of one seller through the full matching pipeline.
 
-    The grid holds the true value q, and the q row is the truthful run: its
-    utility and broker list are what every row is compared with. Each row
-    records the misreport outcome and whether the perturbation left the
-    broker list's pair order unchanged (the regime where no misreport should
-    ever beat truth-telling). `market` is `s` compiled, when the caller
-    already has it; every grid point re-prices one column of it, and its row
-    equals `run_matching` on `s` with that bid. The sweep reads the clock
-    before each grid point, and the scan at each backtrack: both raise
-    BudgetExceeded past the `perf_counter` time `deadline`.
+    The q row is the truthful run: its utility and broker list are what
+    every row is compared with. Each row records the misreport outcome and
+    whether the perturbation left the broker list's pair order unchanged
+    (the regime where no misreport should ever beat truth-telling).
+    `market` is `s` compiled, when the caller already has it; every grid
+    point re-prices one column of it, and its row equals `run_matching` on
+    `s` with that bid. `_sweep` reads the clock before each grid point, and
+    the scan at each backtrack: both raise BudgetExceeded past the
+    `perf_counter` time `deadline`.
     """
-    q = s.seller(sid).true_value
     if market is None:
         market = Market(s)
     col = market.seller_index[sid]
-    rows, shapes = [], []
-    for bid in default_bid_grid(q):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"matching sweep of {sid.label()} stopped at bid {bid}")
+    shapes = []
+
+    def payment_at(bid: float) -> float | None:
         broker = build_broker_list(market.with_bid(sid, bid))
-        seller_of = _scan(broker, deadline, None) or []
-        payment = None
-        if col in seller_of:
-            want = [si if si == col else -1 for si in seller_of]
-            payment = _prices(broker, want)[1][seller_of.index(col)]
-        won = payment is not None
-        utility = (payment - q) if won else 0.0
-        rows.append({"bid": bid, "won": won, "payment": payment, "utility": utility})
         shapes.append((broker.buyer.tobytes(), broker.seller.tobytes()))
+        seller_of = _scan(broker, deadline, None) or []
+        if col not in seller_of:
+            return None
+        want = [si if si == col else -1 for si in seller_of]
+        return _prices(broker, want)[1][seller_of.index(col)]
 
-    truthful = next(i for i, r in enumerate(rows) if r["bid"] == q)
-    truthful_utility = rows[truthful]["utility"]
+    q = s.seller(sid).true_value
+    rows, truthful_utility, gains = _sweep(s, sid, payment_at, deadline)
+    truthful = next(shape for r, shape in zip(rows, shapes) if r["bid"] == q)
     for row, shape in zip(rows, shapes):
-        row["order_preserved"] = shape == shapes[truthful]
+        row["order_preserved"] = shape == truthful
         row["classification"] = _classify(row["utility"], truthful_utility, row["won"])
-
-    gains = [r for r in rows if r["classification"] == "gain"]
     return {
         "seller": sid,
         "true_value": q,
         "truthful_utility": truthful_utility,
         "rows": rows,
-        "order_preserving_gains": [r["bid"] for r in gains if r["order_preserved"]],
-        "gains": [r["bid"] for r in gains],
+        "order_preserving_gains": [r["bid"] for r in rows if r["bid"] in gains and r["order_preserved"]],
+        "gains": gains,
     }

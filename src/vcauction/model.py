@@ -376,7 +376,10 @@ def validate_scenario(s: Scenario) -> list[str]:
     if s.valuation.beta1 <= 0 or s.valuation.beta2 <= 0:
         bad.append("valuation: beta1 and beta2 must be positive")
 
-    expected = expand_vms(s.sps, max_demand, s.valuation)
+    try:
+        expected = expand_vms(s.sps, max_demand, s.valuation)
+    except ValueError:  # a base time or every tolerable time not positive, flagged above
+        return bad
     exp_caps = {sel.id: sel.capability for sel in expected}
     got_caps = {sel.id: sel.capability for sel in s.sellers}
     if set(exp_caps) != set(got_caps):

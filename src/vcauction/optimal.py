@@ -395,43 +395,56 @@ def default_bid_grid(true_value: float) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
+def _sweep(s: Scenario, sid: SellerId, payment_at, deadline: float | None) -> tuple:
+    """The bid sweep both truthfulness audits run: one row per bid of
+    `default_bid_grid(q)`, `payment_at(bid)` the seller's payment at that
+    bid, None when it loses. Utility is payment - q for a win, else 0.
+
+    Returns the rows, the utility of the truthful q row, and the bids whose
+    utility beats it by more than the tolerance. The clock is read before
+    each grid point: past the `perf_counter` time `deadline` the sweep
+    raises BudgetExceeded.
+    """
+    q = s.seller(sid).true_value
+    rows = []
+    for bid in default_bid_grid(q):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(f"bid sweep of {sid.label()} stopped at bid {bid}")
+        payment = payment_at(bid)
+        won = payment is not None
+        rows.append({"bid": bid, "won": won, "payment": payment, "utility": (payment - q) if won else 0.0})
+    truthful_utility = next(r["utility"] for r in rows if r["bid"] == q)
+    beats = [r["bid"] for r in rows if r["utility"] > truthful_utility + TOLERANCE]
+    return rows, truthful_utility, beats
+
+
 def verify_truthfulness_opt(
     s: Scenario, sid: SellerId, *, market: Market | None = None, deadline: float | None = None
 ) -> dict:
-    """Sweep one seller's reported bid over `default_bid_grid(q)` and compare
-    utilities against the truthful q row.
+    """`_sweep` of one seller through the exact auction: the seller wins
+    the re-bid market's optimum at bid b and is paid F(b) - F_without + b.
 
-    Utility is payment - true_value when the seller wins, else 0. The removal
-    term F_without never involves the swept seller's bid, so it is computed
-    once, as `solve_optimal` computes it. `market` is `s` compiled, when the
-    caller already has it; each grid point re-prices one column of it. The
-    report flags any bid whose utility beats the truthful one. Every solve
-    stops with BudgetExceeded past the `perf_counter` time `deadline`.
+    The removal term F_without never involves the swept seller's bid, so it
+    is computed once, as `solve_optimal` computes it. `market` is `s`
+    compiled, when the caller already has it; each grid point re-prices one
+    column of it. The report flags any bid whose utility beats the truthful
+    one. Every solve stops with BudgetExceeded past the `perf_counter` time
+    `deadline`.
     """
-    q = s.seller(sid).true_value
     m = market if market is not None else Market(s)
     f_wo = _solve(m, _lists(m), [m.seller_index[sid]], deadline).objective_value
 
-    rows = []
-    truthful_utility = 0.0
-    for bid in default_bid_grid(q):
+    def payment_at(bid: float) -> float | None:
         rebid = m.with_bid(sid, bid)
         res = _solve(rebid, _lists(rebid), [], deadline)
-        won = res.assignment is not None and res.assignment.buyer_of(sid) is not None
-        if won:
-            payment = res.objective_value - f_wo + bid
-            utility = payment - q
-        else:
-            payment = None
-            utility = 0.0
-        rows.append({"bid": bid, "won": won, "payment": payment, "utility": utility})
-        if bid == q:
-            truthful_utility = utility
+        if res.assignment is None or res.assignment.buyer_of(sid) is None:
+            return None
+        return res.objective_value - f_wo + bid
 
-    violations = [r["bid"] for r in rows if r["utility"] > truthful_utility + TOLERANCE]
+    rows, truthful_utility, violations = _sweep(s, sid, payment_at, deadline)
     return {
         "seller": sid,
-        "true_value": q,
+        "true_value": s.seller(sid).true_value,
         "f_without": f_wo,
         "truthful_utility": truthful_utility,
         "rows": rows,

@@ -236,6 +236,37 @@ def test_verify_budget_exceeded_inside_the_sweeps(tmp_path, monkeypatch, capsys)
     assert all(math.isfinite(kwargs["deadline"]) for kwargs in calls)
 
 
+def test_verify_exits_1_on_a_violation(tmp_path, monkeypatch, capsys):
+    """A rationality violation, for either mechanism, or a bid that beats
+    truth-telling in an exact sweep is printed to stderr, and `verify`
+    exits 1."""
+    path = tmp_path / "small.json"
+    path.write_text(scenario_dumps(generate(preset("small"), seed=0)))
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "ir_violations", lambda s, run: [f"{run.mechanism}: forged"])
+        for mechanism in ("maxuosg", "opt"):
+            assert main(["verify", str(path), "--mechanism", mechanism]) == 1
+            assert f"VIOLATION: {mechanism}: forged" in capsys.readouterr().err
+
+    def beaten(s, sid, **kwargs):
+        sweep = verify_truthfulness_opt(s, sid, **kwargs)
+        return {**sweep, "dominance_violations": [sweep["rows"][0]["bid"]]}
+
+    monkeypatch.setattr(harness, "verify_truthfulness_opt", beaten)
+    assert main(["verify", str(path), "--mechanism", "opt"]) == 1
+    assert "VIOLATION: opt: dominance violated for s" in capsys.readouterr().err
+
+
+def test_experiment_exits_1_on_a_rationality_violation(tmp_path, tiny_config_file, monkeypatch, capsys):
+    """Every violation `ir_violations` finds goes into the summary, and
+    `experiment` counts them on stderr and exits 1."""
+    monkeypatch.setattr(harness, "ir_violations", lambda s, run: [f"{run.mechanism}: forged"])
+    out = tmp_path / "exp.json"
+    assert main(["experiment", "--config", tiny_config_file, "--trials", "2", "--out", str(out)]) == 1
+    assert "10 rationality violations" in capsys.readouterr().err
+    assert len(json.loads(out.read_text())["ir_violations"]) == 10
+
+
 def test_maxuosg_budget_exceeded(tmp_path, capsys):
     """A matching scan that backtracks past its budget reports it, in both
     commands, rather than an infeasible scenario."""

@@ -119,6 +119,15 @@ def test_validate_config_flags():
     assert any("unknown type" in f for f in validate_config(bad_type))
     bad_cov = dataclasses.replace(base, coverage_density=0.0)
     assert any("coverage_density" in f for f in validate_config(bad_cov))
+    for fields, flag in (
+        ({"alpha_range": (0.0, 4.0)}, "alpha_range: lower bound 0.0 must be positive"),
+        ({"alpha_range": (4.0, 2.5)}, "alpha_range: lower bound 4.0 above upper bound 2.5"),
+        ({"weight_range": (-0.1, 0.7)}, "weight_range: lower bound below 0"),
+        ({"lambda_range": (-0.01, 0.06)}, "lambda_range: lower bound below 0"),
+        ({"job_types": ()}, "job_types: at least one job required"),
+        ({"sp_count": 0}, "sp_count: 0 below 1"),
+    ):
+        assert validate_config(dataclasses.replace(base, **fields)) == [flag]
     assert validate_config(base) == []
 
 

@@ -16,6 +16,7 @@ from vcauction import (
     Market,
     SellerId,
     bench_sweep,
+    default_bid_grid,
     experiment,
     generate,
     gross_utility,
@@ -32,7 +33,7 @@ from vcauction import (
 )
 import vcauction.harness as harness
 
-from helpers import backtrack_scenario, make_tiny
+from helpers import backtrack_scenario, make_tiny, three_provider_scenario
 from test_optimal import one_sp_scenario
 
 TINY_CFG = GenConfig(job_types=(1,), sp_count=2, vms_per_sp=(1, 2))
@@ -140,6 +141,56 @@ def test_ir_audit_ignores_payment_free_runs():
     assert run.success
     assert run.payments is None
     assert ir_violations(s, run) == []
+
+
+def test_ir_violations_flags_each_rule():
+    """Forged payments on `three_provider_scenario` (provider 0 holds VM 0
+    with ranks 1-2 and VM 1 with ranks 1-3) break one rule each: a payment
+    below its bid, a negative utility, a VM's total and a provider's total.
+    Utilities of -0.7e-9 pass one by one, but two of them sum past the
+    tolerance."""
+    base = three_provider_scenario()
+    a, b = SellerId(0, 0, 1), SellerId(0, 0, 2)
+    c, d = SellerId(0, 1, 1), SellerId(1, 0, 1)
+    q = {sid: base.seller(sid).true_value for sid in (a, b, c, d)}
+    cases = [
+        # Bid 0.2 above the true value, paid 0.1 above it.
+        (base.with_seller_bid(a, q[a] + 0.2), {a: q[a] + 0.1}, "opt: payment"),
+        # Paid below the true value, above a low bid; the VM's other rank
+        # makes up for it.
+        (base.with_seller_bid(a, q[a] - 0.2), {a: q[a] - 0.1, b: q[b] + 0.2}, "opt: negative utility"),
+        # Two ranks of VM (0,0) just inside the tolerance; VM (0,1) lifts
+        # provider 0.
+        (base, {a: q[a] - 7e-10, b: q[b] - 7e-10, c: q[c] + 1.0}, "opt: VM (0,0) total utility"),
+        # One rank on each of provider 0's VMs, just inside the tolerance.
+        (base, {a: q[a] - 7e-10, c: q[c] - 7e-10, d: q[d] + 1.0}, "opt: provider 0 total utility"),
+    ]
+    for s, payments, flag in cases:
+        run = harness.MechanismRun("opt", True, 0.0, 0.0, None, payments)
+        bad = ir_violations(s, run)
+        assert len(bad) == 1 and bad[0].startswith(flag), bad
+    truthful = {sid: value + 0.1 for sid, value in q.items()}
+    assert ir_violations(base, harness.MechanismRun("opt", True, 0.0, 0.0, None, truthful)) == []
+
+
+def test_verify_report_flags_a_dominance_violation(monkeypatch):
+    """An exact sweep that finds bids beating truth-telling puts one line per
+    winner in the report's violations."""
+    sweep_of = harness.verify_truthfulness_opt
+
+    def beaten(s, sid, **kwargs):
+        sweep = sweep_of(s, sid, **kwargs)
+        return {**sweep, "dominance_violations": [sweep["rows"][0]["bid"]]}
+
+    monkeypatch.setattr(harness, "verify_truthfulness_opt", beaten)
+    s = make_tiny(0)
+    report, _ = verify_report(s, "opt")
+    assert report["success"] and report["winners"]
+    assert len(report["violations"]) == len(report["winners"])
+    for line, sweep in zip(report["violations"], report["sweeps"]):
+        sid = SellerId(*sweep["seller"])
+        low = default_bid_grid(s.seller(sid).true_value)[0]
+        assert line == f"opt: dominance violated for {sid.label()} at bids {[low]}"
 
 
 def test_verify_report_matching():

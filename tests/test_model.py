@@ -1,4 +1,5 @@
 """Domain model tests: VM expansion, contact probabilities, validation, serialization."""
+import dataclasses
 import json
 import math
 
@@ -144,16 +145,12 @@ def test_validate_flags_overweight_edge():
     job = s.jobs[0]
     bad_edges = (JobEdge(0, 1, 5.0),) + job.edges[1:]
     bad_job = GraphJob(job.owner_index, job.alpha, job.tolerable_times, bad_edges)
-    import dataclasses
-
     s2 = dataclasses.replace(s, jobs=(bad_job,) + s.jobs[1:])
     problems = validate_scenario(s2)
     assert any("weight" in p for p in problems)
 
 
 def test_validate_flags_empty_coverage():
-    import dataclasses
-
     s = make_tiny(1)
     s2 = dataclasses.replace(s, coverage=(frozenset(),) + s.coverage[1:])
     problems = validate_scenario(s2)
@@ -161,8 +158,6 @@ def test_validate_flags_empty_coverage():
 
 
 def test_validate_flags_tampered_seller():
-    import dataclasses
-
     s = make_tiny(3)
     first = s.sellers[0]
     forged = Seller(first.id, first.capability + 0.1, first.bid, first.true_value)
@@ -172,8 +167,6 @@ def test_validate_flags_tampered_seller():
 
 
 def test_validate_flags_asymmetric_rates():
-    import dataclasses
-
     s = make_tiny(5)
     if len(s.sps) < 2:
         s = make_tiny(6)
@@ -183,6 +176,120 @@ def test_validate_flags_asymmetric_rates():
     s2 = dataclasses.replace(s, contact_rate=tuple(tuple(r) for r in rows))
     problems = validate_scenario(s2)
     assert any("differ" in p for p in problems)
+
+
+def _job(s, **fields):
+    return dataclasses.replace(s, jobs=(dataclasses.replace(s.jobs[0], **fields),))
+
+
+def _edges(s, *edges):
+    return _job(s, edges=s.jobs[0].edges + edges)
+
+
+def _sp1(s, *vms, index=1):
+    return dataclasses.replace(s, sps=(s.sps[0], ServiceProvider(index, vms), s.sps[2]))
+
+
+def _rate(s, *cells):
+    rows = [list(r) for r in s.contact_rate]
+    for i, j, x in cells:
+        rows[i][j] = x
+    return dataclasses.replace(s, contact_rate=tuple(map(tuple, rows)))
+
+
+def _seller0(s, **fields):
+    return dataclasses.replace(s, sellers=(dataclasses.replace(s.sellers[0], **fields),) + s.sellers[1:])
+
+
+# One forged `three_provider_scenario` per rule of `validate_scenario`, and
+# the message that rule gives. Its one job has tolerable times (3.0, 2.5,
+# 2.8) and the triangle of edges of weight 0.2; provider 1 has one VM of
+# base time 1.2 and max rank 2.
+VALIDATOR_RULES = [
+    ("owner index", lambda s: _job(s, owner_index=1), "job 0: owner_index 1 does not match position"),
+    ("alpha", lambda s: _job(s, alpha=0.0), "job 0: alpha 0.0 is not positive"),
+    (
+        "empty job",
+        lambda s: dataclasses.replace(
+            s, jobs=s.jobs + (GraphJob(1, 1.0, (), ()),), coverage=s.coverage * 2
+        ),
+        "job 1: has no components",
+    ),
+    (
+        "tolerable time",
+        lambda s: _job(s, tolerable_times=(3.0, -0.5, 2.8)),
+        "job 0 component 1: tolerable time -0.5 is not positive",
+    ),
+    ("edge endpoint", lambda s: _edges(s, JobEdge(0, 3, 0.1)), "job 0 edge (0,3): endpoint out of range"),
+    ("self loop", lambda s: _edges(s, JobEdge(1, 1, 0.1)), "job 0 edge (1,1): self loop"),
+    ("duplicate edge", lambda s: _edges(s, JobEdge(1, 0, 0.1)), "job 0 edge (1,0): duplicate edge"),
+    (
+        "negative weight",
+        lambda s: _job(s, edges=(JobEdge(0, 1, -0.1),) + s.jobs[0].edges[1:]),
+        "job 0 edge (0,1): negative weight -0.1",
+    ),
+    ("provider index", lambda s: _sp1(s, *s.sps[1].vms, index=5), "sp 1: index 5 does not match position"),
+    ("no VMs", lambda s: _sp1(s), "sp 1: has no VMs"),
+    ("base time", lambda s: _sp1(s, VirtualMachine(0.0, 0)), "sp 1 vm 0: base_time 0.0 is not positive"),
+    (
+        "max rank below 1",
+        lambda s: _sp1(s, VirtualMachine(1.2, 0)),
+        "sp 1 vm 0: max_rank 0 below 1 for a usable VM",
+    ),
+    (
+        "max rank above demand",
+        lambda s: _sp1(s, VirtualMachine(1.2, 3)),
+        "sp 1 vm 0: max_rank 3 capability exceeds max demand 3.0",
+    ),
+    (
+        "unusable VM with a rank",
+        lambda s: _sp1(s, VirtualMachine(3.5, 1)),
+        "sp 1 vm 0: base_time above max demand must have max_rank 0",
+    ),
+    (
+        "rate shape",
+        lambda s: dataclasses.replace(s, contact_rate=s.contact_rate[:2]),
+        "contact_rate: matrix is not 3x3",
+    ),
+    ("rate diagonal", lambda s: _rate(s, (1, 1, 0.1)), "contact_rate: diagonal entry (1,1) is not zero"),
+    ("rate sign", lambda s: _rate(s, (0, 1, -0.05), (1, 0, -0.05)), "contact_rate: entry (0,1) is negative"),
+    ("coverage count", lambda s: dataclasses.replace(s, coverage=()), "coverage: one entry per job required"),
+    (
+        "unknown provider",
+        lambda s: dataclasses.replace(s, coverage=(frozenset({0, 1, 3}),)),
+        "coverage: job 0 references unknown provider 3",
+    ),
+    ("epsilon", lambda s: dataclasses.replace(s, epsilon=1.5), "epsilon 1.5 outside (0, 1]"),
+    (
+        "valuation",
+        lambda s: dataclasses.replace(s, valuation=ValuationConfig(0.0, 0.95)),
+        "valuation: beta1 and beta2 must be positive",
+    ),
+    (
+        "missing seller",
+        lambda s: dataclasses.replace(s, sellers=s.sellers[1:]),
+        "sellers: missing expansion of ['s0.0.1']",
+    ),
+    (
+        "extra seller",
+        lambda s: dataclasses.replace(s, sellers=s.sellers + (Seller(SellerId(0, 0, 3), 4.5, 0.5, 0.5),)),
+        "sellers: not part of the VM expansion: ['s0.0.3']",
+    ),
+    (
+        "duplicate seller",
+        lambda s: dataclasses.replace(s, sellers=s.sellers + s.sellers[:1]),
+        "sellers: duplicate seller ids",
+    ),
+    ("bid", lambda s: _seller0(s, bid=0.0), "seller s0.0.1: bid 0.0 is not positive"),
+    ("true value", lambda s: _seller0(s, true_value=-0.1), "seller s0.0.1: true value -0.1 is not positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "forge, message", [row[1:] for row in VALIDATOR_RULES], ids=[row[0] for row in VALIDATOR_RULES]
+)
+def test_validate_rule_fires(forge, message):
+    assert message in validate_scenario(forge(three_provider_scenario()))
 
 
 def test_serialization_round_trip_identity():
@@ -242,8 +349,6 @@ def test_loads_rejects_fractional_integers():
 
 
 def test_validate_flags_non_finite_numbers():
-    import dataclasses
-
     s = make_tiny(0)
     job = s.jobs[0]
     rows = [list(r) for r in s.contact_rate]

@@ -17,6 +17,7 @@ from vcauction import (
     GenConfig,
     GraphJob,
     JobEdge,
+    JobTypeSpec,
     Market,
     Scenario,
     TOLERANCE,
@@ -41,7 +42,7 @@ from vcauction import (
     verify_truthfulness_opt,
 )
 
-from vcauction.optimal import _lists, _solve
+from vcauction.optimal import _lists, _solve, _sweep
 from helpers import independent_best_value, make_tiny
 from test_golden import _opt_run
 
@@ -415,6 +416,20 @@ def test_pivot_payment_identical_rivals_pay_bid():
     assert out.payments[winner] == pytest.approx(s.seller(winner).bid)
 
 
+def test_vcg_payment_equals_the_auctions_payments():
+    """`vcg_payment` of every winner of `small` and `large` seeds 0-9 is the
+    payment `run_optimal_mechanism` computes, bit for bit."""
+    checked = 0
+    for name in ("small", "large"):
+        for seed in range(10):
+            s = generate(preset(name), seed=seed)
+            out = run_optimal_mechanism(s)
+            for sid, payment in out.payments.items():
+                assert vcg_payment(s, out.assignment, out.objective_value, sid) == payment, (name, seed, sid)
+                checked += 1
+    assert checked == 260
+
+
 def test_vcg_payment_rejects_non_winner():
     s = one_sp_scenario(times=(0.7,), alpha=3.0, bases=(0.25,))
     res = solve_optimal(s)
@@ -435,6 +450,73 @@ def test_payments_cover_bids_on_random_tinies():
         for sid, pay in out.payments.items():
             assert pay >= s.seller(sid).bid - 1e-9
     assert seen >= 10
+
+
+def test_enumeration_keeps_the_smaller_pair_list_of_a_tie():
+    """Three one-component jobs, each barred from one provider: only two
+    derangements are feasible, and they tie. Enumeration meets the one with
+    the larger pair list first; it keeps the smaller, as `solve_optimal`
+    does."""
+    cfg = GenConfig(
+        job_types=(9, 9, 9),
+        sp_count=3,
+        vms_per_sp=(1, 1),
+        alpha_range=(3.0, 3.0),
+        base_time_range=(0.4, 0.4),
+        tolerable_time_range=(0.65, 0.65),
+        custom_types=(JobTypeSpec(9, 1, ()),),
+    )
+    s = dataclasses.replace(
+        generate(cfg, seed=0), coverage=(frozenset({1, 2}), frozenset({0, 2}), frozenset({0, 1}))
+    )
+    assert validate_scenario(s) == []
+    naive, exact = solve_naive(s), solve_optimal(s)
+    assert [(b.job_index, sid.sp_index) for b, sid in naive.assignment.pairs] == [(0, 1), (1, 2), (2, 0)]
+    assert naive.assignment == exact.assignment
+    assert repr(naive.objective_value) == repr(exact.objective_value)
+
+
+def test_sweep_rows_and_the_bids_that_beat_truth():
+    """`_sweep` prices each grid bid through `payment_at`, and returns the
+    truthful row's utility and the bids whose utility beats it."""
+    s = one_sp_scenario(times=(0.7,), alpha=3.0, bases=(0.25,))
+    sid = SellerId(0, 0, 1)
+    q = s.seller(sid).true_value
+
+    def payment_at(bid):  # loses above q, and is paid most at q
+        return None if bid > q else q + (1.0 if bid == q else 0.1)
+
+    rows, truthful, beats = _sweep(s, sid, payment_at, None)
+    assert [r["bid"] for r in rows] == list(default_bid_grid(q))
+    assert truthful == pytest.approx(1.0)
+    assert beats == []
+    for r in rows:
+        assert r["won"] == (r["bid"] <= q)
+        assert r["utility"] == (r["payment"] - q if r["won"] else 0.0)
+    rows, truthful, beats = _sweep(s, sid, lambda bid: bid + 0.1, None)
+    assert truthful == pytest.approx(0.1)
+    assert beats == [r["bid"] for r in rows if r["bid"] > q]
+
+
+def test_sweep_reads_the_clock_before_each_grid_point():
+    """Past its deadline a sweep raises BudgetExceeded before it prices the
+    next bid, whatever `payment_at` costs."""
+    s = one_sp_scenario(times=(0.7,), alpha=3.0, bases=(0.25,))
+    sid = SellerId(0, 0, 1)
+    priced = []
+    with pytest.raises(BudgetExceeded, match="bid sweep of s0.0.1"):
+        _sweep(s, sid, priced.append, time.perf_counter() - 1.0)
+    assert priced == []
+
+    deadline = time.perf_counter() + 0.2
+
+    def outlasts_the_deadline(bid):
+        priced.append(bid)
+        time.sleep(max(0.0, deadline - time.perf_counter()) + 0.001)
+
+    with pytest.raises(BudgetExceeded):
+        _sweep(s, sid, outlasts_the_deadline, deadline)
+    assert len(priced) == 1
 
 
 def test_default_bid_grid_shape():
