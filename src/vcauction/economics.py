@@ -10,9 +10,13 @@ seller serve at most one buyer.
 
 The scalar predicates below are the readable specification. `Market`
 compiles a scenario once into arrays that give the same answers for every
-pair, and the mechanisms read the compiled form. `build_broker_list` is the
+pair, and the mechanisms read the compiled form; so does the harness's
+re-validation of every result, `_complete_value`. `build_broker_list` is the
 one ranking of each buyer's C1 sellers, best UoS first and ties by seller,
 that the matching, the exact solver and the `verify` report read.
+
+Float totals add in order with `+=`, as `objective` does: from Python 3.12
+on, `sum()` of floats compensates its rounding, so its bits can differ.
 """
 from __future__ import annotations
 
@@ -196,6 +200,34 @@ def build_broker_list(market: Market) -> BrokerPrefList:
     return BrokerPrefList(market, rows[order], cols[order], values[order])
 
 
+def _complete_value(m: Market, a: Assignment) -> float | None:
+    """`objective` of `a` on the scenario `m` compiles when `a` matches
+    every buyer and keeps C1, C2 and C4, else None: what
+    `assignment_feasible(s, a, require_complete=True)` and `objective` say,
+    with None also for an id that is not the scenario's."""
+    assigned = [-1] * len(m.buyers)
+    for buyer, sid in a.pairs:
+        bi, si = m.buyer_index.get(buyer), m.seller_index.get(sid)
+        if bi is None or si is None or assigned[bi] >= 0 or not m.feasible[bi, si]:
+            return None
+        assigned[bi] = si
+    if -1 in assigned or len(set(assigned)) < len(assigned):
+        return None
+    sp_of = m.sp_of.tolist()
+    if not all(_edges_ok(m.edges, sp_of, assigned, bi, si) for bi, si in enumerate(assigned)):
+        return None
+    # Rows are in `BuyerId` order, the order in which `objective` adds.
+    return _add_in_order(m.uos[range(len(assigned)), assigned].tolist())
+
+
+def _add_in_order(values) -> float:
+    """The float total of `values`, added left to right."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _edges_ok(edges: list, sp_of: list[int], assigned: list[int], bi: int, si: int) -> bool:
     """C2 for placing buyer `bi` on seller `si`, against every neighbour that
     `assigned` (seller per buyer, -1 when open) has placed. `edges` is
@@ -251,7 +283,7 @@ def _drop_columns(rows: list[list[tuple[int, float]]], cols: list[int], v: list[
 
 
 def _matched_value(rows: list[list[tuple[int, float]]], col_of: list[int]) -> float:
-    return sum(w for r, cells in enumerate(rows) for j, w in cells if j == col_of[r])
+    return _add_in_order(w for r, cells in enumerate(rows) for j, w in cells if j == col_of[r])
 
 
 def _insert_row(rows: list, start: int, row_pot: list, v: list, row_of: list, col_of: list) -> bool:

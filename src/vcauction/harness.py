@@ -2,7 +2,9 @@
 
 Every mechanism result passes through one chokepoint that re-validates the
 allocation against all constraints before it is reported or serialized, so an
-infeasible assignment can never leak into an output file.
+infeasible assignment can never leak into an output file. Each run compiles
+the scenario once: the mechanism, the re-validation and the objective read
+that one `Market`.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .model import (
     TOLERANCE,
     scenario_dumps,
 )
-from .economics import Market, assignment_feasible, objective
+from .economics import Market, _add_in_order, _complete_value
 from .optimal import (
     BudgetExceeded,
     run_optimal_mechanism,
@@ -78,9 +80,13 @@ def run_mechanism(
     name: str,
     seed: int = 0,
     budget_secs: float | None = DEFAULT_BUDGET_SECS,
+    *,
+    market: Market | None = None,
 ) -> MechanismRun:
     """Dispatch one mechanism and re-validate whatever it produced. A run
-    past its budget reports `truncated` and no allocation."""
+    past its budget reports `truncated` and no allocation. The mechanism
+    and the re-validation read `market`, `s` compiled, which the run
+    compiles itself unless the caller has it."""
     if name not in MECHANISMS:
         raise ValueError(f"unknown mechanism {name!r}, expected one of {MECHANISMS}")
     t0 = time.perf_counter()
@@ -89,31 +95,32 @@ def run_mechanism(
     payments: dict[SellerId, float] | None = None
     truncated = False
     detail: dict = {}
+    m = market if market is not None else Market(s)
 
     try:
         if name == "opt":
-            outcome = run_optimal_mechanism(s, deadline=deadline)
+            outcome = run_optimal_mechanism(s, market=m, deadline=deadline)
             if outcome is not None:
                 assignment = outcome.assignment
                 payments = outcome.payments
                 detail["explored_nodes"] = outcome.explored_nodes
                 detail["pivot_nodes"] = outcome.pivot_nodes
         elif name == "maxuosg":
-            outcome = run_matching(s, deadline=deadline)
+            outcome = run_matching(s, market=m, deadline=deadline)
             detail["trace_events"] = len(outcome.match_trace)
             detail["match_trace"] = outcome.match_trace
             if outcome.success:
                 assignment = outcome.assignment
                 payments = outcome.payments
         else:
-            assignment = run_baseline(s, name, seed=seed)
+            assignment = run_baseline(s, name, seed=seed, market=m)
     except BudgetExceeded:
         truncated = True
 
     runtime = time.perf_counter() - t0
-    if assignment is not None and not assignment_feasible(s, assignment, require_complete=True):
+    value = 0.0 if assignment is None else _complete_value(m, assignment)
+    if value is None:
         raise RuntimeError(f"mechanism {name} produced an infeasible assignment")
-    value = objective(s, assignment) if assignment is not None else 0.0
     return MechanismRun(
         mechanism=name,
         success=assignment is not None,
@@ -239,8 +246,8 @@ def experiment(
         n = len(won)
         mech_stats[name] = {
             "successes": n,
-            "mean_objective": sum(r["objective"] for r in won) / n if n else None,
-            "mean_runtime_secs": sum(r["runtime_secs"] for r in won) / n if n else None,
+            "mean_objective": _add_in_order(r["objective"] for r in won) / n if n else None,
+            "mean_runtime_secs": _add_in_order(r["runtime_secs"] for r in won) / n if n else None,
         }
     improvements = {}
     base_mean = mech_stats["maxuosg"]["mean_objective"]
@@ -278,7 +285,8 @@ def verify_report(
     if mechanism not in ("opt", "maxuosg"):
         raise ValueError("verify supports mechanisms 'opt' and 'maxuosg'")
     deadline = _deadline_after(budget_secs)
-    run = run_mechanism(s, mechanism, budget_secs=budget_secs)
+    market = Market(s)  # shared by the auction, the report and every sweep
+    run = run_mechanism(s, mechanism, budget_secs=budget_secs, market=market)
     report: dict = {
         "mechanism": mechanism,
         "scenario_digest": scenario_digest(s),
@@ -306,7 +314,6 @@ def verify_report(
             }
         )
 
-    market = Market(s)  # shared by the report and every sweep
     if mechanism == "maxuosg":
         # One pass writes the broker list and each buyer's entries in its order.
         broker = build_broker_list(market)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, BuyerId, Scenario, SellerId
-from .economics import BrokerPrefList, Market, _edges_ok, build_broker_list
+from .economics import BrokerPrefList, Market, _add_in_order, _edges_ok, build_broker_list
 from .optimal import BudgetExceeded, _pair_list, _sweep
 
 __all__ = [
@@ -319,7 +319,7 @@ def _prices(broker: BrokerPrefList, want: list[int]) -> tuple[float, list[float 
             if after is None:
                 after = value - DEFAULT_DELTA  # the virtual critical entry
             payments[bi] = m.gross[bi, si].item() - after
-    return sum([v for v in own if v is not None], 0.0), payments
+    return _add_in_order(v for v in own if v is not None), payments
 
 
 def matching_payments(
@@ -357,10 +357,13 @@ def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: Sel
     return matching_payments(broker, Assignment(((buyer, winner),)))[1][winner]
 
 
-def run_matching(s: Scenario, *, deadline: float | None = None) -> MatchingOutcome:
-    """Full pipeline: build the broker list, match, price winners. The scan
-    raises BudgetExceeded past the `perf_counter` time `deadline`."""
-    broker = build_broker_list(Market(s))
+def run_matching(
+    s: Scenario, *, market: Market | None = None, deadline: float | None = None
+) -> MatchingOutcome:
+    """Full pipeline: build the broker list of `market` (`s` compiled, when
+    the caller already has it), match, price winners. The scan raises
+    BudgetExceeded past the `perf_counter` time `deadline`."""
+    broker = build_broker_list(market if market is not None else Market(s))
     assignment, trace = match(s, broker, deadline=deadline)
     objective, payments = (0.0, {}) if assignment is None else matching_payments(broker, assignment)
     return MatchingOutcome(assignment, objective, payments, trace)

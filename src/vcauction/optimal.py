@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TOLERANCE, Assignment, Scenario, SellerId
-from .economics import Market, _drop_columns, _edges_ok, _max_assignment, build_broker_list, objective
+from .economics import Market, _add_in_order, _drop_columns, _edges_ok, _max_assignment
+from .economics import build_broker_list, objective
 
 __all__ = [
     "BudgetExceeded",
@@ -287,7 +288,7 @@ def _solve(m: Market, lists: tuple, banned: list[int], deadline: float | None) -
         traded[bi], traded[other] = si, mine
         ok = feasible[other][mine] and _edges_ok(edges, sp_of, traded, bi, si)
         ok = ok and _edges_ok(edges, sp_of, traded, other, mine)
-        return traded if ok and sum(uos[b][s] for b, s in enumerate(traded)) >= target else None
+        return traded if ok and _add_in_order(uos[b][s] for b, s in enumerate(traded)) >= target else None
 
     # Phase 1: the optimum's value, by a search from the root assignment
     # solve that keeps strict gains only. With no C1 assignment it visits no
@@ -311,10 +312,10 @@ def _solve(m: Market, lists: tuple, banned: list[int], deadline: float | None) -
     # cost, with those of the fixed pairs, drops the ceiling below `target`
     # needs no test. A test first tries a trade with the witness, and runs
     # the search only when the trade fails.
-    target = sum(uos[bi][si] for bi, si in enumerate(witness)) - TOLERANCE
+    target = _add_in_order(uos[bi][si] for bi, si in enumerate(witness)) - TOLERANCE
     v = root[3]
     u = [max(uos[bi][si] - v[si] for si in candidates[bi]) for bi in range(nb)]
-    ceiling = sum(u) + sum(v)
+    ceiling = _add_in_order(u) + _add_in_order(v)
     assigned = [-1] * nb
     used, total = banned_bits, 0.0
     for bi in range(nb):
@@ -342,7 +343,7 @@ def _solve(m: Market, lists: tuple, banned: list[int], deadline: float | None) -
         used, total = used | (1 << si), total + uos[bi][si]
 
     # In row order, which is `BuyerId` order, as `objective` sums.
-    value = sum((uos[bi][si] for bi, si in enumerate(witness)), 0.0)
+    value = _add_in_order(uos[bi][si] for bi, si in enumerate(witness))
     return SolveResult(Assignment(_pair_list(m, witness)), value, nodes)
 
 
@@ -365,16 +366,18 @@ def vcg_payment(
     return f_star - without.objective_value + s.seller(sid).bid
 
 
-def run_optimal_mechanism(s: Scenario, *, deadline: float | None = None) -> OptOutcome | None:
+def run_optimal_mechanism(
+    s: Scenario, *, market: Market | None = None, deadline: float | None = None
+) -> OptOutcome | None:
     """Winner determination plus a pivot payment per winner.
 
     Returns None when no complete feasible assignment exists. The
     `perf_counter` time `deadline`, if given, bounds the main solve and all
-    payment re-solves together. The scenario is compiled once, into one
-    list form; each re-solve is `solve_optimal` with the winner excluded, on
-    that list form.
+    payment re-solves together. The scenario is compiled once, unless the
+    caller passes it compiled as `market`, into one list form; each
+    re-solve is `solve_optimal` with the winner excluded, on that list form.
     """
-    m = Market(s)
+    m = market if market is not None else Market(s)
     lists = _lists(m)
     res = _solve(m, lists, [], deadline)
     if res.assignment is None:

@@ -1,4 +1,5 @@
 """Valuation, UoS and constraint-rule tests, including a worked three-provider case."""
+import collections
 import copy
 import dataclasses
 import itertools
@@ -15,6 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from vcauction import (
+    BASELINE_KINDS,
     Assignment,
     BuyerId,
     GraphJob,
@@ -33,12 +35,15 @@ from vcauction import (
     objective,
     pair_feasible,
     preset,
+    run_baseline,
+    run_matching,
+    solve_optimal,
     uos,
     validate_scenario,
 )
 
 import vcauction.optimal as optimal
-from vcauction.economics import _drop_columns, _max_assignment
+from vcauction.economics import _complete_value, _drop_columns, _max_assignment
 from vcauction.matching import _all_rows_matched, build_broker_list, match
 
 from helpers import make_tiny, three_provider_scenario
@@ -212,6 +217,79 @@ def test_assignment_feasible_checks_edges():
     )
     assert not assignment_feasible(tight, cross)
     assert assignment_feasible(tight, same)
+
+
+def _spec_value(s, a):
+    """`objective` where `assignment_feasible(..., require_complete=True)`
+    holds, else None; None too for an id the scenario does not have, on
+    which the scalar rules raise."""
+    try:
+        ok = assignment_feasible(s, a, require_complete=True)
+    except ValueError:
+        return None
+    return objective(s, a) if ok else None
+
+
+def _agreed_feasible(s, a) -> bool:
+    """Whether `a` is complete and feasible, after checking that both
+    forms say so alike."""
+    got, want = _complete_value(Market(s), a), _spec_value(s, a)
+    # repr tells every bit of a float.
+    assert repr(got) == repr(want), a
+    return want is not None
+
+
+def test_complete_value_equals_the_scalar_rules_on_mechanism_outputs():
+    """On every mechanism's output, and on tiny scenarios on each output
+    with one buyer moved to another seller, the compiled check is None
+    exactly where the scalar rules reject, and otherwise `objective` bit
+    for bit."""
+    scenarios = [make_tiny(seed) for seed in range(200)]
+    c2 = dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3))
+    for cfg in (preset("small"), preset("large"), c2):
+        scenarios += [generate(cfg, seed=seed) for seed in range(10)]
+    outputs = 0
+    kept = collections.Counter()
+    for s in scenarios:
+        found = [solve_optimal(s).assignment, run_matching(s).assignment]
+        found += [run_baseline(s, kind, seed=s.seed) for kind in BASELINE_KINDS]
+        for a in filter(None, found):
+            assert _agreed_feasible(s, a)
+            outputs += 1
+            if len(s.buyers) <= 4:
+                for (b, old), sel in itertools.product(a.pairs, s.sellers):
+                    if sel.id != old:
+                        moved = [(b2, sel.id if b2 == b else sid) for b2, sid in a.pairs]
+                        kept[_agreed_feasible(s, Assignment.from_pairs(moved))] += 1
+    # Both answers come up among the moves: C1, C2 and a shared seller
+    # reject most of them.
+    assert (outputs, kept[True], kept[False]) == (355, 116, 1614)
+
+
+def test_complete_value_rejects_each_broken_rule():
+    """Forged assignments of the three-provider job, each breaking one rule
+    of a complete feasible one."""
+    s = three_provider_scenario()
+    b0, b1, b2 = s.buyers
+    good = [(b0, SellerId(0, 1, 1)), (b1, SellerId(1, 0, 1)), (b2, SellerId(1, 0, 2))]
+    assert _agreed_feasible(s, Assignment.from_pairs(good))
+    # b2's seller bids all its gross utility, so the pair's UoS is 0.
+    sid = good[2][1]
+    gross = gross_utility(s.tolerable_time(b2), s.seller(sid).capability)
+    priced_out = s.with_seller_bid(sid, s.alpha(b2) * gross)
+    forged = {
+        "uncovered provider": (dataclasses.replace(s, coverage=(frozenset({1, 2}),)), good),
+        "capability past the deadline": (s, [good[0], (b1, SellerId(0, 0, 2)), good[2]]),
+        "UoS at most the tolerance": (priced_out, good),
+        "C2 edge": (dataclasses.replace(s, epsilon=0.999), good),
+        "shared seller": (s, [good[0], good[1], (b2, good[1][1])]),
+        "missing buyer": (s, good[:2]),
+        "duplicate buyer": (s, good + [(b2, SellerId(2, 0, 1))]),
+        "unknown buyer": (s, good + [(BuyerId(0, 3), SellerId(2, 0, 1))]),
+        "unknown seller": (s, [good[0], good[1], (b2, SellerId(2, 0, 9))]),
+    }
+    for rule, (forged_s, pairs) in forged.items():
+        assert not _agreed_feasible(forged_s, Assignment.from_pairs(pairs)), rule
 
 
 def _kernel_scenario(source: str, seed: int, reverse: bool):

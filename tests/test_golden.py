@@ -15,15 +15,19 @@ and regenerate the file only on purpose:
 """
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
+import vcauction
 from helpers import make_tiny
 from vcauction import (
     BASELINE_KINDS,
+    experiment,
     generate,
     preset,
     run_baseline,
@@ -187,6 +191,30 @@ def test_outputs_match_golden():
         else:
             assert got[section] == want[section], section
     assert got.keys() == want.keys()
+
+
+def _compensated_sum(values, start=0):
+    """`sum` with compensated float addition, as Python 3.12 and later add
+    (exactly rounded here, by `math.fsum`); integer sums stay exact."""
+    values = list(values)
+    if isinstance(start, float) or any(isinstance(v, float) for v in values):
+        return math.fsum([start, *values])
+    return builtins.sum(values, start)
+
+
+def test_outputs_do_not_depend_on_how_sum_adds_floats(monkeypatch):
+    """Every float total adds in order, as `objective` does, so a `sum`
+    that compensates its rounding changes no output: not the golden file,
+    nor `experiment`'s means."""
+    def means() -> dict:
+        summary, _ = experiment(preset("small"), trials=20)
+        return {name: stats["mean_objective"] for name, stats in summary["mechanisms"].items()}
+
+    in_order = means()
+    for module in (vcauction.economics, vcauction.optimal, vcauction.matching, vcauction.harness):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert json.loads(json.dumps(compute())) == json.loads(GOLDEN.read_text())
+    assert means() == in_order
 
 
 def _leaves(doc, path: str = ""):

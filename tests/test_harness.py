@@ -13,7 +13,10 @@ from vcauction import (
     BudgetExceeded,
     BuyerId,
     GenConfig,
+    MECHANISMS,
     Market,
+    MatchingOutcome,
+    OptOutcome,
     SellerId,
     bench_sweep,
     default_bid_grid,
@@ -59,6 +62,52 @@ def test_revalidation_chokepoint_catches_bad_output(monkeypatch):
     monkeypatch.setattr(harness, "run_baseline", lambda *a, **k: bogus)
     with pytest.raises(RuntimeError, match="infeasible"):
         run_mechanism(s, "rmm")
+
+
+def test_revalidation_chokepoint_catches_c2_and_shared_seller_output(monkeypatch):
+    """Complete assignments of the three-provider job that break C2 (at a
+    contact floor no provider pair reaches) or share a seller, returned by
+    the matching and by the exact auction, are refused."""
+    s = three_provider_scenario()
+    b0, b1, b2 = s.buyers
+    crossing = [(b0, SellerId(0, 1, 1)), (b1, SellerId(1, 0, 1)), (b2, SellerId(1, 0, 2))]
+    shared = crossing[:2] + [(b2, SellerId(1, 0, 1))]
+    for scenario, pairs in ((dataclasses.replace(s, epsilon=0.999), crossing), (s, shared)):
+        bogus = Assignment.from_pairs(pairs)
+        payments = {sid: 1.0 for _, sid in pairs}
+        monkeypatch.setattr(
+            harness, "run_matching", lambda *a, **k: MatchingOutcome(bogus, 0.0, payments, ())
+        )
+        monkeypatch.setattr(
+            harness, "run_optimal_mechanism", lambda *a, **k: OptOutcome(bogus, 0.0, payments, 0, 0)
+        )
+        for name in ("maxuosg", "opt"):
+            with pytest.raises(RuntimeError, match="infeasible"):
+                run_mechanism(scenario, name)
+
+
+def test_one_compile_per_run_and_per_audit(monkeypatch):
+    """`run_mechanism` compiles the scenario once for the mechanism and its
+    re-validation, and `verify_report` once for the auction and every
+    sweep."""
+    compiled = []
+    init = Market.__init__
+
+    def counted(self, s):
+        compiled.append(s)
+        init(self, s)
+
+    monkeypatch.setattr(Market, "__init__", counted)
+    s = generate(preset("small"), seed=0)
+    for name in MECHANISMS:
+        compiled.clear()
+        assert run_mechanism(s, name).success
+        assert len(compiled) == 1 and compiled[0] is s, name
+    for name in ("opt", "maxuosg"):
+        compiled.clear()
+        report, rows = verify_report(s, name)
+        assert report["success"] and len(report["sweeps"]) == len(report["winners"]) > 0
+        assert len(compiled) == 1 and compiled[0] is s, name
 
 
 def test_run_mechanism_marks_budget_truncation():
