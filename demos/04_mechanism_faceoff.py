@@ -1,5 +1,5 @@
-# Matching vs the three baseline allocators over repeated random draws,
-# and vs the exact auction where the buyer count is at or below the cutoff.
+# Matching vs the exact auction and the three baseline allocators over
+# repeated random draws, every mechanism on every scenario.
 #
 # Run: python3 demos/04_mechanism_faceoff.py
 from vcauction import experiment, preset

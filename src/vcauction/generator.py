@@ -298,6 +298,8 @@ def config_to_dict(cfg: GenConfig) -> dict:
 
 
 def config_from_dict(doc: dict) -> GenConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed config document: expected an object, got {type(doc).__name__}")
     try:
         custom = tuple(
             JobTypeSpec(

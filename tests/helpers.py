@@ -1,5 +1,5 @@
 """Shared scenario builders, an independent brute-force oracle, and the
-unpruned matching scan as a reference.
+unpruned matching scan and the baseline policies as references.
 
 make_tiny keeps instances small enough (at most 4 buyers, 8 sellers) for
 exhaustive cross-checking; roughly half the draws use a tight contact
@@ -25,7 +25,8 @@ from vcauction import (
     max_rank_for,
     validate_scenario,
 )
-from vcauction.economics import _edges_ok
+from vcauction.baselines import MAX_RESTARTS
+from vcauction.economics import _edges_ok, edge_feasible, pair_feasible
 
 _SHAPES = {
     1: ((),),
@@ -296,3 +297,46 @@ def independent_best_value(s: Scenario) -> float | None:
         if ok and (best is None or value > best):
             best = value
     return best
+
+
+def reference_baseline(s: Scenario, kind: str, seed: int = 0) -> Assignment | None:
+    """The baseline policies from the scalar rules, seller by seller.
+
+    A visit keeps the free sellers that pass C1 and C2 against the buyer's
+    placed neighbours. ETPM and LPM rank them by (capability or bid,
+    SellerId) and take the first; RMM draws one from them in SellerId
+    order. Buyer orders and draws come from the same `rng` calls as
+    `run_baseline` makes, so the two agree pick for pick.
+    """
+    rng = np.random.default_rng(seed)
+    buyers = list(s.buyers)
+    if not buyers:
+        return Assignment(())
+    edges = list(s.job_edges())
+    rank = {
+        "etpm": lambda sel: (sel.capability, sel.id),
+        "lpm": lambda sel: (sel.bid, sel.id),
+        "rmm": lambda sel: sel.id,
+    }[kind]
+
+    def fits(b, sel, placed) -> bool:
+        if sel.id in placed.values() or not pair_feasible(s, b, sel.id):
+            return False
+        for b1, b2, w in edges:
+            other = b2 if b1 == b else b1 if b2 == b else None
+            if other in placed and not edge_feasible(s, sel.id.sp_index, placed[other].sp_index, w):
+                return False
+        return True
+
+    for _attempt in range(MAX_RESTARTS + 1):
+        placed: dict = {}
+        for bi in rng.permutation(len(buyers)).tolist():
+            b = buyers[bi]
+            candidates = sorted((sel for sel in s.sellers if fits(b, sel, placed)), key=rank)
+            if not candidates:
+                break
+            pick = candidates[int(rng.integers(len(candidates)))] if kind == "rmm" else candidates[0]
+            placed[b] = pick.id
+        else:
+            return Assignment.from_pairs(placed.items())
+    return None

@@ -1,4 +1,6 @@
 """Baseline policy tests."""
+import dataclasses
+
 import pytest
 
 from vcauction import (
@@ -12,7 +14,7 @@ from vcauction import (
     run_baseline,
 )
 
-from helpers import make_tiny
+from helpers import make_tiny, reference_baseline
 from test_optimal import one_sp_scenario
 
 
@@ -44,6 +46,22 @@ def test_outputs_are_feasible_or_none():
             out = run_baseline(s, kind, seed=11)
             if out is not None:
                 assert assignment_feasible(s, out, require_complete=True)
+
+
+def test_policies_equal_the_reference():
+    """One provider of twelve VMs with one base time: each capability, and
+    so each bid, is shared by twelve sellers, and the tie rule decides
+    every ETPM and LPM pick. The tiny draws add inputs where C2 binds."""
+    cfg = dataclasses.replace(
+        preset("small"), sp_count=1, vms_per_sp=(12, 12), base_time_range=(0.1, 0.1)
+    )
+    for seed in range(20):
+        tied = generate(cfg, seed=seed)
+        for s in (tied, make_tiny(seed)):
+            for kind in BASELINE_KINDS:
+                out = run_baseline(s, kind, seed=seed)
+                assert out == reference_baseline(s, kind, seed=seed), (seed, kind)
+                assert out is not None or s is not tied, (seed, kind)
 
 
 def test_unknown_kind_rejected():

@@ -141,6 +141,17 @@ def test_boolean_or_string_in_a_config_file_exits_2(tmp_path, capsys):
         assert "malformed config document" in capsys.readouterr().err
 
 
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    """A config file holding a list, a string or a number is an input error."""
+    for i, bad in enumerate(([1, 2], "abc", 3)):
+        config = tmp_path / f"not_an_object_{i}.json"
+        config.write_text(json.dumps(bad))
+        for cmd in ("generate", "experiment"):
+            argv = [cmd, "--config", str(config), "--out", str(tmp_path / f"{cmd}.json")]
+            assert main(argv) == 2, (cmd, bad)
+            assert "error: malformed config document" in capsys.readouterr().err
+
+
 def test_non_finite_budget_is_a_usage_error(tiny_scenario_file, capsys):
     """A NaN or infinite budget would never expire, so argparse refuses it."""
     for budget in ("nan", "inf", "-inf"):

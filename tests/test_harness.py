@@ -18,6 +18,7 @@ from vcauction import (
     MatchingOutcome,
     OptOutcome,
     SellerId,
+    TOLERANCE,
     bench_sweep,
     default_bid_grid,
     experiment,
@@ -161,7 +162,7 @@ def test_run_to_doc_roundtrips_through_json():
 
 def test_experiment_row_layout():
     summary, rows = experiment(TINY_CFG, trials=3, base_seed=0, preset_name=None)
-    assert len(rows) == 15  # 5 mechanisms, buyer count under the opt cutoff
+    assert len(rows) == 15  # 5 mechanisms
     assert {r["mechanism"] for r in rows} == {"opt", "maxuosg", "etpm", "lpm", "rmm"}
     assert sorted({r["trial"] for r in rows}) == [0, 1, 2]
     for r in rows:
@@ -182,6 +183,18 @@ def test_experiment_row_layout():
     assert summary["mechanisms"]["opt"]["successes"] >= 2
     for name in ("etpm", "lpm", "rmm"):
         assert name in summary["improvement_over_baseline_pct"]
+
+
+def test_matching_is_near_optimal_on_large():
+    """`experiment` runs the exact auction on every `large` trial; the
+    matching never beats it and reaches at least 99% of it."""
+    _, rows = experiment(preset("large"), trials=10, preset_name="large")
+    row = {(r["trial"], r["mechanism"]): r for r in rows}
+    for trial in range(10):
+        opt, ours = row[trial, "opt"], row[trial, "maxuosg"]
+        assert opt["success"] and opt["buyers"] > 10, trial
+        assert ours["objective"] <= opt["objective"] + TOLERANCE, trial
+        assert ours["objective"] / opt["objective"] >= 0.99, trial
 
 
 def test_ir_audit_ignores_payment_free_runs():
@@ -332,6 +345,21 @@ def test_verify_report_budget_bounds_the_exact_sweeps():
     assert len(report["sweeps"]) < len(report["winners"]) or not report["success"]
     # A budget that the auction itself overruns is truncated, not infeasible.
     report, rows = verify_report(s, "opt", budget_secs=0.01)
+    assert report["truncated"] and not report["success"] and rows == []
+
+
+def test_verify_report_budget_covers_the_compile(monkeypatch):
+    """The audit's deadline starts before its compile: a compile that uses
+    the whole budget leaves the auction none, rather than a fresh one."""
+
+    class SlowMarket(Market):
+        def __init__(self, s):
+            time.sleep(0.3)
+            super().__init__(s)
+
+    monkeypatch.setattr(harness, "Market", SlowMarket)
+    s = generate(preset("small"), seed=0)
+    report, rows = verify_report(s, "opt", budget_secs=0.1)
     assert report["truncated"] and not report["success"] and rows == []
 
 
