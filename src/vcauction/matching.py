@@ -19,11 +19,12 @@ covers the bid.
 The pipeline works on the compiled `Market`'s rows and columns: the broker
 list (`economics.build_broker_list`) is one sort of the feasible cells into
 buyer, seller and value arrays, and a buyer's entries in it are its list;
-`_scan` walks them and gives each buyer row a seller column, with a trace
-only when asked, checking C2 with the exact solvers' helper; `_prices` walks
-them once for the columns asked. The public wrappers alone build
-`Assignment`s and traces. A bid sweep's grid point re-prices one column of a
-market compiled once, scans it untraced and prices the swept seller alone.
+`_scan` walks their buyer and seller lists and gives each buyer row a
+seller column, with a trace only when asked, checking C2 with the exact
+solvers' helper; `_prices` walks them once for the columns asked. The public
+wrappers alone build `Assignment`s and traces. A bid sweep's grid point
+merges the swept seller's re-valued column into the rest of the broker list
+(`_Column`), scans it untraced and prices the swept seller alone.
 `PrefEntry` and `build_buyer_list` rank one buyer on their own: the
 reference that the broker list's per-buyer order is tested against.
 """
@@ -179,20 +180,21 @@ def match(
     BudgetExceeded past the `perf_counter` time `deadline`.
     """
     trace: list[tuple] = []
-    seller_of = _scan(broker, deadline, trace)
+    seller_of = _scan(broker.market, broker.buyer.tolist(), broker.seller.tolist(), deadline, trace)
     assignment = None if seller_of is None else Assignment(_pair_list(broker.market, seller_of))
     return assignment, tuple(trace)
 
 
-def _scan(broker: BrokerPrefList, deadline: float | None, trace: list | None) -> list[int] | None:
-    """The scan of `match` on indices: each buyer row's seller column, or
-    None on failure. Events go to `trace` only when it is a list. The prune
-    test at a state is `hall`: the open buyers' entries at or past the resume
+def _scan(
+    m: Market, eb: list[int], es: list[int], deadline: float | None, trace: list | None
+) -> list[int] | None:
+    """The scan of `match` on a broker list of `m`, as its buyer rows `eb`
+    and seller columns `es`: each buyer row's seller column, or None on
+    failure. Events go to `trace` only when it is a list. The prune test at
+    a state is `hall`: the open buyers' entries at or past the resume
     position, C2-compatible with the placed buyers, must give each its own
     free seller (`_all_rows_matched`)."""
-    m = broker.market
     total_buyers = len(m.buyers)
-    eb, es = broker.buyer.tolist(), broker.seller.tolist()
     if len(set(eb)) < total_buyers:
         if trace is not None:
             trace.append(("fail",))
@@ -381,6 +383,46 @@ def _classify(utility: float, truthful_utility: float, won: bool) -> str:
     return "no-gain"
 
 
+class _Column:
+    """Seller column `col` of `market`'s broker list, re-priced one bid at a
+    time. Built once: the other sellers' entries in broker order, as keys
+    (-value, buyer, seller) that sort in `build_broker_list`'s order since
+    (buyer, seller) is unique, also split per buyer; and the gross values
+    of the column's C1-admissible cells."""
+
+    def __init__(self, market: Market, col: int):
+        broker = build_broker_list(market)
+        rest = broker.seller != col
+        self.col, self.buyer, self.seller = col, broker.buyer[rest].tolist(), broker.seller[rest].tolist()
+        self.keys = list(zip((-broker.value[rest]).tolist(), self.buyer, self.seller))
+        self.keys_of: list[list[tuple]] = [[] for _ in market.buyers]
+        for key in self.keys:
+            self.keys_of[key[1]].append(key)
+        cells = np.flatnonzero(market._admissible[:, col])
+        self.gross = dict(zip(cells.tolist(), market.gross[cells, col].tolist()))
+
+    def at(self, bid: float) -> tuple[list[int], list[int]]:
+        """The buyer rows and seller columns of the broker list at `bid`:
+        the cells re-valued as `gross - bid` (`Market.with_bid`'s operation),
+        those above the C1 tolerance inserted by key, highest first so each
+        position found in `keys` stays right."""
+        eb, es = self.buyer.copy(), self.seller.copy()
+        values = [(g - bid, bi) for bi, g in self.gross.items()]
+        for key in sorted(((-v, bi, self.col) for v, bi in values if v > TOLERANCE), reverse=True):
+            i = bisect_left(self.keys, key)
+            eb.insert(i, key[1])
+            es.insert(i, self.col)
+        return eb, es
+
+    def price(self, bi: int, bid: float) -> float:
+        """Row bi's payment for the column at `bid`, as `_prices` gives it:
+        gross minus the value of the row's next entry, or of the virtual one."""
+        value, own = self.gross[bi] - bid, self.keys_of[bi]
+        j = bisect_left(own, (-value, bi, self.col))
+        after = -own[j][0] if j < len(own) else value - DEFAULT_DELTA  # the virtual critical entry
+        return self.gross[bi] - after
+
+
 def verify_truthfulness_matching(
     s: Scenario, sid: SellerId, *, market: Market | None = None, deadline: float | None = None
 ) -> dict:
@@ -390,31 +432,31 @@ def verify_truthfulness_matching(
     every row is compared with. Each row records the misreport outcome and
     whether the perturbation left the broker list's pair order unchanged
     (the regime where no misreport should ever beat truth-telling).
-    `market` is `s` compiled, when the caller already has it; every grid
-    point re-prices one column of it, and its row equals `run_matching` on
-    `s` with that bid. `_sweep` reads the clock before each grid point, and
-    the scan at each backtrack: both raise BudgetExceeded past the
-    `perf_counter` time `deadline`.
+    `market` is `s` compiled, when the caller already has it. A grid point
+    re-prices the seller's column of its broker list (`_Column`), scans the
+    merged lists untraced and prices the swept seller alone, so its row
+    equals `run_matching` on `s` with that bid. `_sweep` reads the clock
+    before each grid point, and the scan at each backtrack: both raise
+    BudgetExceeded past the `perf_counter` time `deadline`.
     """
     if market is None:
         market = Market(s)
-    col = market.seller_index[sid]
-    shapes = []
+    column = _Column(market, market.seller_index[sid])
+    lists = []
 
     def payment_at(bid: float) -> float | None:
-        broker = build_broker_list(market.with_bid(sid, bid))
-        shapes.append((broker.buyer.tobytes(), broker.seller.tobytes()))
-        seller_of = _scan(broker, deadline, None) or []
-        if col not in seller_of:
+        eb, es = column.at(bid)
+        lists.append((eb, es))
+        seller_of = _scan(market, eb, es, deadline, None) or []
+        if column.col not in seller_of:
             return None
-        want = [si if si == col else -1 for si in seller_of]
-        return _prices(broker, want)[1][seller_of.index(col)]
+        return column.price(seller_of.index(column.col), bid)
 
     q = s.seller(sid).true_value
     rows, truthful_utility, gains = _sweep(s, sid, payment_at, deadline)
-    truthful = next(shape for r, shape in zip(rows, shapes) if r["bid"] == q)
-    for row, shape in zip(rows, shapes):
-        row["order_preserved"] = shape == truthful
+    truthful = next(merged for r, merged in zip(rows, lists) if r["bid"] == q)
+    for row, merged in zip(rows, lists):
+        row["order_preserved"] = merged == truthful
         row["classification"] = _classify(row["utility"], truthful_utility, row["won"])
     return {
         "seller": sid,

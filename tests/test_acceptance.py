@@ -14,7 +14,6 @@ from vcauction import (
     bench_sweep,
     build_broker_list,
     build_buyer_list,
-    experiment,
     Market,
     generate,
     gross_utility,
@@ -29,6 +28,7 @@ from vcauction import (
     verify_report,
     verify_truthfulness_opt,
 )
+from vcauction.economics import _add_in_order
 from vcauction.model import BuyerId, SellerId
 
 from helpers import broker_entries, make_tiny
@@ -134,24 +134,26 @@ def test_criterion_4_matching_near_optimality():
 
 
 def test_criterion_5_baseline_dominance():
+    """`experiment`'s mean objective over successes and improvement over each
+    baseline, on its seeds, from runs of the four mechanisms compared alone."""
     lines = []
     ok = True
     for name in ("small", "large"):
-        summary, _ = experiment(preset(name), trials=50, preset_name=name)
-        stats = summary["mechanisms"]
-        ours = stats["maxuosg"]["mean_objective"]
+        scenarios = [generate(preset(name), seed=seed) for seed in range(50)]
+        means = {}
+        for mech in ("maxuosg",) + BASELINE_KINDS:
+            runs = [run_mechanism(s, mech, seed=seed) for seed, s in enumerate(scenarios)]
+            won = [run.objective_value for run in runs if run.success]
+            means[mech] = _add_in_order(won) / len(won) if won else None
+        ours = means["maxuosg"]
         assert ours is not None
+        improvement = {k: (ours / means[k] - 1.0) * 100.0 if means[k] else None for k in BASELINE_KINDS}
         for kind in BASELINE_KINDS:
-            other = stats[kind]["mean_objective"]
-            if other is None or ours <= other:
+            if means[kind] is None or ours <= means[kind]:
                 ok = False
-        rmm_pct = summary["improvement_over_baseline_pct"]["rmm"]
-        if rmm_pct is None or rmm_pct < 5.0:
+        if improvement["rmm"] is None or improvement["rmm"] < 5.0:
             ok = False
-        pcts = ", ".join(
-            f"{k} {summary['improvement_over_baseline_pct'][k]:+.2f}%"
-            for k in BASELINE_KINDS
-        )
+        pcts = ", ".join(f"{k} {improvement[k]:+.2f}%" for k in BASELINE_KINDS)
         lines.append(f"{name}: {pcts}")
     _verdict(5, ok, "50 trials per preset; improvement " + " | ".join(lines))
     assert ok

@@ -3,6 +3,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -53,6 +56,18 @@ def test_generate_stdout_parses(capsys):
     assert main(["generate", "--preset", "small", "--seed", "0"]) == 0
     s = scenario_loads(capsys.readouterr().out)
     assert len(s.buyers) == 7
+
+
+@pytest.mark.parametrize("module", ["vcauction", "vcauction.cli"])
+def test_module_entry_point_runs_from_a_source_checkout(tmp_path, module):
+    """`python -m vcauction` and `python -m vcauction.cli` run the command
+    with `src` on the path alone, no install."""
+    out, want = tmp_path / "s.json", tmp_path / "want.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cmd = [sys.executable, "-m", module, "generate", "--preset", "small", "--seed", "0", "--out", str(out)]
+    assert subprocess.run(cmd, env=env, cwd=tmp_path, timeout=60).returncode == 0
+    assert main(["generate", "--preset", "small", "--seed", "0", "--out", str(want)]) == 0
+    assert out.read_text() == want.read_text()
 
 
 def test_generate_rejects_bad_config(tmp_path):

@@ -40,6 +40,7 @@ from vcauction import (
     solve_optimal,
     uos,
     validate_scenario,
+    verify_truthfulness_matching,
 )
 
 import vcauction.optimal as optimal
@@ -348,8 +349,8 @@ def test_market_kernel_equals_scalar_rules(source, seed, reverse, data):
 
 def test_market_is_never_mutated():
     """Building the broker list, scanning it, solving exactly with and
-    without a seller, and re-bidding leave every attribute of a market the
-    same object, with the same contents."""
+    without a seller, re-bidding and sweeping a winner's bid leave every
+    attribute of a market the same object, with the same contents."""
     s = generate(dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3)), seed=0)
     m = Market(s)
     before = dict(vars(m))
@@ -359,6 +360,8 @@ def test_market_is_never_mutated():
     optimal._solve(m, lists, [], None)
     optimal._solve(m, lists, [0], None)
     m.with_bid(m.sellers[0], 0.5)
+    rows = verify_truthfulness_matching(s, min(run_matching(s, market=m).payments), market=m)["rows"]
+    assert any(r["won"] for r in rows)
     assert vars(m).keys() == before.keys()
     assert [name for name, value in vars(m).items() if value is not before[name]] == []
     for name, value in before.items():

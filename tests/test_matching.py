@@ -3,8 +3,10 @@ and the bid-sweep classification."""
 import collections
 import dataclasses
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
 from vcauction import (
@@ -32,7 +34,8 @@ from vcauction import (
     validate_scenario,
     verify_truthfulness_matching,
 )
-from vcauction.optimal import BudgetExceeded
+from vcauction.model import TOLERANCE
+from vcauction.optimal import BudgetExceeded, default_bid_grid
 import vcauction.matching as matching_module
 
 from helpers import backtrack_scenario, broker_entries, make_tiny, reference_match
@@ -219,7 +222,8 @@ def test_trace_free_scan_equals_the_traced_one():
     for s in cases:
         broker = build_broker_list(Market(s))
         assignment, trace = match(s, broker)
-        seller_of = matching_module._scan(broker, None, None)
+        lists = broker.market, broker.buyer.tolist(), broker.seller.tolist()
+        seller_of = matching_module._scan(*lists, None, None)
         if assignment is None:
             assert seller_of is None
         else:
@@ -228,7 +232,7 @@ def test_trace_free_scan_equals_the_traced_one():
                 (m.buyers[bi], m.sellers[si]) for bi, si in enumerate(seller_of)
             )
         traced = []
-        assert matching_module._scan(broker, None, traced) == seller_of
+        assert matching_module._scan(*lists, None, traced) == seller_of
         assert tuple(traced) == trace
         backtracked += any(ev[0] in ("delete", "restart") for ev in trace)
     assert backtracked >= 10
@@ -520,6 +524,51 @@ def test_sweep_is_the_per_bid_pipeline():
                 assert row["payment"] == alone.payments.get(sid)
                 checked += 1
     assert checked >= 900
+
+
+def _column_bids(market, col, q):
+    """The default grid; each admissible cell's C1 cut-off `gross - TOLERANCE`
+    and one float step either side; and every bid at which a cell's value
+    ties another entry's value exactly."""
+    bids = set(default_bid_grid(q))
+    others = set(market.uos[market.feasible].tolist())
+    for bi in np.flatnonzero(market._admissible[:, col]).tolist():
+        g = market.gross[bi, col].item()
+        cut = g - TOLERANCE
+        bids |= {math.nextafter(cut, -math.inf), cut, math.nextafter(cut, math.inf)}
+        for v in others:
+            b = g - v
+            bids |= {x for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)) if g - x == v}
+    return sorted(bids)
+
+
+def test_repriced_column_equals_the_rebuilt_broker_list():
+    """At any bid, the re-priced column's merged lists are the broker list of
+    the re-bid market, element for element, and its one-row price is the
+    payment `_prices` reads from that list, for every row holding the column."""
+    ties = cutoffs = 0
+    for seed in range(200):
+        s = make_tiny(seed)
+        m = Market(s)
+        for sid in run_matching(s, market=m).payments:
+            col = m.seller_index[sid]
+            column = matching_module._Column(m, col)
+            last_bid, last_len = -math.inf, 0
+            for bid in _column_bids(m, col, s.seller(sid).true_value):
+                broker = build_broker_list(m.with_bid(sid, bid))
+                eb, es = column.at(bid)
+                assert eb == broker.buyer.tolist() and es == broker.seller.tolist()
+                values = [column.gross[b] - bid if k == col else m.uos[b, k] for b, k in zip(eb, es)]
+                assert values == broker.value.tolist()
+                for bi in {b for b, k in zip(eb, es) if k == col}:
+                    want = [col if r == bi else -1 for r in range(len(m.buyers))]
+                    assert column.price(bi, bid) == matching_module._prices(broker, want)[1][bi]
+                at_col = broker.value[broker.seller == col].tolist()
+                ties += any(v in at_col for v in broker.value[broker.seller != col].tolist())
+                # One float step up in bid drops a cell: a C1 cut-off crossed.
+                cutoffs += math.nextafter(last_bid, math.inf) == bid and len(eb) < last_len
+                last_bid, last_len = bid, len(eb)
+    assert ties >= 1000 and cutoffs >= 200
 
 
 def test_sweep_reads_truthful_play_from_its_own_row():
