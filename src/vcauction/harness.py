@@ -309,7 +309,8 @@ def verify_report(
         )
 
     if mechanism == "maxuosg":
-        # One pass writes the broker list and each buyer's entries in its order.
+        # One broker list for the report and every sweep; one pass writes it
+        # and each buyer's entries in its order.
         broker = build_broker_list(market)
         merged, own = [], [[] for _ in market.buyers]
         for i, k, v in zip(broker.buyer.tolist(), broker.seller.tolist(), broker.value.tolist()):
@@ -329,10 +330,12 @@ def verify_report(
         assert run.assignment is not None
         report["pairs"] = _pairs_doc(run.assignment)
 
-    sweep_of = verify_truthfulness_opt if mechanism == "opt" else verify_truthfulness_matching
     for sid in sorted(run.payments):
         try:
-            sweep = sweep_of(s, sid, market=market, deadline=deadline)
+            if mechanism == "opt":
+                sweep = verify_truthfulness_opt(s, sid, market=market, deadline=deadline)
+            else:
+                sweep = verify_truthfulness_matching(s, sid, market=market, broker=broker, deadline=deadline)
         except BudgetExceeded:
             report["truncated"] = True
             break

@@ -23,8 +23,9 @@ buyer, seller and value arrays, and a buyer's entries in it are its list;
 seller column, with a trace only when asked, checking C2 with the exact
 solvers' helper; `_prices` walks them once for the columns asked. The public
 wrappers alone build `Assignment`s and traces. A bid sweep's grid point
-merges the swept seller's re-valued column into the rest of the broker list
-(`_Column`), scans it untraced and prices the swept seller alone.
+places the swept seller's re-valued column among the rest of the broker
+list and settles the match from one forward pass over the rest (`_Column`),
+scanning only at a dead end, then prices the swept seller alone.
 `PrefEntry` and `build_buyer_list` rank one buyer on their own: the
 reference that the broker list's per-buyer order is tested against.
 """
@@ -384,35 +385,102 @@ def _classify(utility: float, truthful_utility: float, won: bool) -> str:
 
 
 class _Column:
-    """Seller column `col` of `market`'s broker list, re-priced one bid at a
-    time. Built once: the other sellers' entries in broker order, as keys
-    (-value, buyer, seller) that sort in `build_broker_list`'s order since
-    (buyer, seller) is unique, also split per buyer; and the gross values
-    of the column's C1-admissible cells."""
+    """Seller column `col` of a broker list, re-priced one bid at a time.
+    Built once: the other sellers' entries (the rest list) as keys (-value,
+    buyer, seller) in `build_broker_list`'s order, also per buyer; the gross
+    values of the column's C1-admissible cells; and the rest list's forward
+    pass: each row's seller and position, and the position `end` whose
+    accept matches the last row (None at a dead end).
 
-    def __init__(self, market: Market, col: int):
-        broker = build_broker_list(market)
+    Until its first dead end `_scan` is a forward pass, and no rest entry
+    holds the column, so at any bid the merged list accepts what the rest
+    pass does up to the first column entry reached (at or before `end`)
+    whose row is open and keeps C2 with the rest placements before it. With
+    none the column loses to a completed rest pass; after one, at rest
+    position i for row b, the pass goes on over the rest list from i
+    whatever the bid, once per (i, b), and the column wins row b if it
+    completes. A dead end scans the merged lists, backtracking as the
+    auction does."""
+
+    def __init__(self, broker: BrokerPrefList, col: int):
+        m = self.market = broker.market
         rest = broker.seller != col
         self.col, self.buyer, self.seller = col, broker.buyer[rest].tolist(), broker.seller[rest].tolist()
         self.keys = list(zip((-broker.value[rest]).tolist(), self.buyer, self.seller))
-        self.keys_of: list[list[tuple]] = [[] for _ in market.buyers]
+        self.keys_of: list[list[tuple]] = [[] for _ in m.buyers]
         for key in self.keys:
             self.keys_of[key[1]].append(key)
-        cells = np.flatnonzero(market._admissible[:, col])
-        self.gross = dict(zip(cells.tolist(), market.gross[cells, col].tolist()))
+        cells = np.flatnonzero(m._admissible[:, col])
+        self.gross = dict(zip(cells.tolist(), m.gross[cells, col].tolist()))
+        self.edges, self.sp_of, self.placed = m.edges, m.sp_of.tolist(), [-1] * len(m.buyers)
+        self.end = self._pass(0, self.placed)
+        self.step = [len(self.buyer)] * len(m.buyers)
+        for i, (bi, si) in enumerate(zip(self.buyer, self.seller)):
+            if self.placed[bi] == si:
+                self.step[bi] = i
+        self.tails: dict[tuple[int, int], bool] = {}
+
+    def _pass(self, start: int, seller_of: list[int]) -> int | None:
+        """`_scan`'s walk of the rest list from `start` before any dead end,
+        extending the placements `seller_of` in place: the position whose
+        accept matches the last open row (start - 1 if none), else None."""
+        eb, es, left, taken = self.buyer, self.seller, seller_of.count(-1), set(seller_of)
+        if not left:
+            return start - 1
+        for i in range(start, len(eb)):
+            bi, si = eb[i], es[i]
+            if seller_of[bi] < 0 and si not in taken and _edges_ok(self.edges, self.sp_of, seller_of, bi, si):
+                seller_of[bi] = si
+                taken.add(si)
+                left -= 1
+                if not left:
+                    return i
+        return None
+
+    def slots(self, bid: float) -> list[tuple[int, int]]:
+        """The column's entries at `bid` in list order, as (rest position it
+        is inserted before, buyer row): the cells re-valued as `gross - bid`
+        (`Market.with_bid`'s operation), those above the C1 tolerance, placed
+        among the rest by key."""
+        values = [(g - bid, bi) for bi, g in self.gross.items()]
+        keys = sorted((-v, bi, self.col) for v, bi in values if v > TOLERANCE)
+        return [(bisect_left(self.keys, key), key[1]) for key in keys]
 
     def at(self, bid: float) -> tuple[list[int], list[int]]:
-        """The buyer rows and seller columns of the broker list at `bid`:
-        the cells re-valued as `gross - bid` (`Market.with_bid`'s operation),
-        those above the C1 tolerance inserted by key, highest first so each
-        position found in `keys` stays right."""
+        """The broker list's buyer rows and seller columns at `bid`."""
         eb, es = self.buyer.copy(), self.seller.copy()
-        values = [(g - bid, bi) for bi, g in self.gross.items()]
-        for key in sorted(((-v, bi, self.col) for v, bi in values if v > TOLERANCE), reverse=True):
-            i = bisect_left(self.keys, key)
-            eb.insert(i, key[1])
+        for i, bi in reversed(self.slots(bid)):  # last first: earlier positions hold
+            eb.insert(i, bi)
             es.insert(i, self.col)
         return eb, es
+
+    def first(self, slots: list[tuple[int, int]]) -> tuple[int, int] | None:
+        """The first of `slots` that the forward pass accepts, or None."""
+        sp, sp_of, step = self.sp_of[self.col], self.sp_of, self.step
+        end = len(self.buyer) if self.end is None else self.end
+        for i, bi in slots:
+            if i > end:
+                break
+            if step[bi] >= i and all(step[o] >= i or ok[sp][sp_of[self.placed[o]]] for o, ok in self.edges[bi]):
+                return i, bi
+        return None
+
+    def winner(self, slots: list[tuple[int, int]], bid: float, deadline: float | None) -> int | None:
+        """The row that `_scan` of `at(bid)` gives the column, or None, for
+        `slots = slots(bid)`; only a scan at a dead end reads the clock."""
+        first = self.first(slots)
+        if first is None and self.end is not None:
+            return None
+        if first is not None:
+            if first not in self.tails:
+                i, bi = first
+                seller_of = [si if p < i else -1 for si, p in zip(self.placed, self.step)]
+                seller_of[bi] = self.col
+                self.tails[first] = self._pass(i, seller_of) is not None
+            if self.tails[first]:
+                return first[1]
+        seller_of = _scan(self.market, *self.at(bid), deadline, None) or []
+        return seller_of.index(self.col) if self.col in seller_of else None
 
     def price(self, bi: int, bid: float) -> float:
         """Row bi's payment for the column at `bid`, as `_prices` gives it:
@@ -424,7 +492,8 @@ class _Column:
 
 
 def verify_truthfulness_matching(
-    s: Scenario, sid: SellerId, *, market: Market | None = None, deadline: float | None = None
+    s: Scenario, sid: SellerId, *, market: Market | None = None, broker: BrokerPrefList | None = None,
+    deadline: float | None = None,
 ) -> dict:
     """`_sweep` of one seller through the full matching pipeline.
 
@@ -432,31 +501,31 @@ def verify_truthfulness_matching(
     every row is compared with. Each row records the misreport outcome and
     whether the perturbation left the broker list's pair order unchanged
     (the regime where no misreport should ever beat truth-telling).
-    `market` is `s` compiled, when the caller already has it. A grid point
-    re-prices the seller's column of its broker list (`_Column`), scans the
-    merged lists untraced and prices the swept seller alone, so its row
-    equals `run_matching` on `s` with that bid. `_sweep` reads the clock
-    before each grid point, and the scan at each backtrack: both raise
-    BudgetExceeded past the `perf_counter` time `deadline`.
+    `market` is `s` compiled and `broker` its `build_broker_list`, when the
+    caller already has them. A grid point re-prices the seller's column
+    (`_Column`), settles the match, and prices the swept seller alone, so
+    its row equals `run_matching` on `s` with that bid; the pair order is
+    kept when the column's entries have the truthful row's rest positions
+    and buyers. `_sweep` reads the clock before each grid point, and a scan
+    at each backtrack: both raise BudgetExceeded past the `perf_counter`
+    time `deadline`.
     """
-    if market is None:
-        market = Market(s)
-    column = _Column(market, market.seller_index[sid])
-    lists = []
+    if broker is None:
+        broker = build_broker_list(market if market is not None else Market(s))
+    column = _Column(broker, broker.market.seller_index[sid])
+    orders = []
 
     def payment_at(bid: float) -> float | None:
-        eb, es = column.at(bid)
-        lists.append((eb, es))
-        seller_of = _scan(market, eb, es, deadline, None) or []
-        if column.col not in seller_of:
-            return None
-        return column.price(seller_of.index(column.col), bid)
+        slots = column.slots(bid)
+        orders.append(slots)
+        bi = column.winner(slots, bid, deadline)
+        return None if bi is None else column.price(bi, bid)
 
     q = s.seller(sid).true_value
     rows, truthful_utility, gains = _sweep(s, sid, payment_at, deadline)
-    truthful = next(merged for r, merged in zip(rows, lists) if r["bid"] == q)
-    for row, merged in zip(rows, lists):
-        row["order_preserved"] = merged == truthful
+    truthful = next(order for r, order in zip(rows, orders) if r["bid"] == q)
+    for row, order in zip(rows, orders):
+        row["order_preserved"] = order == truthful
         row["classification"] = _classify(row["utility"], truthful_utility, row["won"])
     return {
         "seller": sid,

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -32,8 +33,10 @@ from vcauction import (
     run_matching,
     solve_optimal,
     validate_scenario,
+    verify_report,
     verify_truthfulness_matching,
 )
+from vcauction.economics import _edges_ok
 from vcauction.model import TOLERANCE
 from vcauction.optimal import BudgetExceeded, default_bid_grid
 import vcauction.matching as matching_module
@@ -312,6 +315,48 @@ def test_scan_budget_stops_at_a_backtrack():
         verify_truthfulness_matching(s, SellerId(1, 0, 1), deadline=time.perf_counter() - 1.0)
 
 
+def _counting_clock(monkeypatch) -> list[str]:
+    """Make `time.perf_counter` count its reads: read j (from 0) returns
+    j + 1. The returned list names the function behind each read."""
+    reads: list[str] = []
+
+    def clock() -> float:
+        reads.append(sys._getframe(1).f_code.co_name)
+        return float(len(reads))
+
+    monkeypatch.setattr(time, "perf_counter", clock)
+    return reads
+
+
+def test_budget_stops_a_fallback_scan_whatever_the_speed(monkeypatch):
+    """On C2-binding `small` seed 0 some grid points dead-end, and their
+    fallback `_scan` backtracks and reads the clock. A clock that counts its
+    reads puts the deadline inside such a scan, on any machine: the sweep
+    raises from the scan, and `verify_report` marks the audit truncated and
+    keeps the rows of the sweeps it finished."""
+    s = generate(dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3)), seed=0)
+    sid = min(run_matching(s).payments)
+    reads = _counting_clock(monkeypatch)
+    verify_truthfulness_matching(s, sid, deadline=math.inf)
+    first = reads.index("_scan")
+    reads.clear()
+    with pytest.raises(BudgetExceeded, match="matching scan stopped"):
+        verify_truthfulness_matching(s, sid, deadline=first + 0.5)
+    assert len(reads) == first + 1
+
+    reads.clear()
+    report, _ = verify_report(s, "maxuosg", budget_secs=math.inf)
+    assert reads[0] == "_deadline_after" and len(report["sweeps"]) == 7
+    second = [j for j, name in enumerate(reads) if name == "_sweep"][22]
+    stop = next(j for j, name in enumerate(reads) if name == "_scan" and j > second)
+    reads.clear()
+    report, rows = verify_report(s, "maxuosg", budget_secs=stop - 0.5)
+    assert len(reads) == stop + 1 and reads[-1] == "_scan"
+    assert report["success"] and report["truncated"]
+    assert len(report["sweeps"]) == 1 and len(rows) == 22
+    assert {r["seller"] for r in rows} == {"%d:%d:%d" % tuple(report["sweeps"][0]["seller"])}
+
+
 def test_uncoverable_buyer_fails():
     s = one_sp_scenario(times=(0.7, 0.1), alpha=3.0, bases=(0.2,))
     out = run_matching(s)
@@ -494,19 +539,35 @@ def _small_sweep_seller():
     return s, min(run_matching(s).payments)
 
 
-def test_sweep_runs_the_matching_once_per_grid_point(monkeypatch):
-    """The truthful run is the grid row at the true value, not an extra run."""
+def test_sweep_settles_small_grid_points_without_a_scan(monkeypatch):
+    """On `small` seed 0 no grid point of the lowest winner's sweep dead-ends:
+    one forward pass over the rest list, one tail pass per distinct first
+    accept (rest position, buyer row) and no `_scan`. The truthful run is
+    the grid row at the true value, not an extra run."""
     s, sid = _small_sweep_seller()
-    calls = []
-    scan = matching_module._scan
+    passes, firsts, scans = [], [], []
+    walk, first, scan = matching_module._Column._pass, matching_module._Column.first, matching_module._scan
+
+    def counting_pass(self, start, seller_of):
+        passes.append((start, [bi for bi, si in enumerate(seller_of) if si >= 0]))
+        return walk(self, start, seller_of)
+
+    def recording_first(self, slots):
+        firsts.append(first(self, slots))
+        return firsts[-1]
 
     def counting_scan(*args, **kwargs):
-        calls.append(1)
+        scans.append(1)
         return scan(*args, **kwargs)
 
+    monkeypatch.setattr(matching_module._Column, "_pass", counting_pass)
+    monkeypatch.setattr(matching_module._Column, "first", recording_first)
     monkeypatch.setattr(matching_module, "_scan", counting_scan)
     report = verify_truthfulness_matching(s, sid)
-    assert len(calls) == len(report["rows"]) == 22
+    assert len(report["rows"]) == len(firsts) == 22 and scans == []
+    assert len(passes) == 1 + len(set(firsts) - {None}) == 4
+    # The rest pass starts empty; each tail starts with its row on the column.
+    assert passes == [(0, []), (0, [4]), (3, [4, 6]), (22, [4, 5, 6])]
 
 
 def test_sweep_is_the_per_bid_pipeline():
@@ -552,7 +613,7 @@ def test_repriced_column_equals_the_rebuilt_broker_list():
         m = Market(s)
         for sid in run_matching(s, market=m).payments:
             col = m.seller_index[sid]
-            column = matching_module._Column(m, col)
+            column = matching_module._Column(build_broker_list(m), col)
             last_bid, last_len = -math.inf, 0
             for bid in _column_bids(m, col, s.seller(sid).true_value):
                 broker = build_broker_list(m.with_bid(sid, bid))
@@ -569,6 +630,95 @@ def test_repriced_column_equals_the_rebuilt_broker_list():
                 cutoffs += math.nextafter(last_bid, math.inf) == bid and len(eb) < last_len
                 last_bid, last_len = bid, len(eb)
     assert ties >= 1000 and cutoffs >= 200
+
+
+def _greedy(m: Market, eb: list[int], es: list[int]) -> list[int] | None:
+    """The scan's walk before its first backtrack: accept each entry whose
+    buyer and seller are free and that keeps C2. Each buyer's seller, or
+    None at a dead end."""
+    sp_of, seller_of, taken = m.sp_of.tolist(), [-1] * len(m.buyers), set()
+    for bi, si in zip(eb, es):
+        if seller_of[bi] < 0 and si not in taken and _edges_ok(m.edges, sp_of, seller_of, bi, si):
+            seller_of[bi] = si
+            taken.add(si)
+    return None if -1 in seller_of else seller_of
+
+
+def _settled_paths(s: Scenario, bids_of, paths: collections.Counter, monkeypatch, fallback: bool = True) -> None:
+    """Settle every winner's column of `s` at `bids_of(market, col, q)` as
+    the sweep does and count each grid point's path in `paths`. The sweep
+    calls `_scan` on the merged lists exactly where their greedy walk
+    dead-ends (that scan runs only when `fallback`, else it is a stub that
+    loses); elsewhere the winning row equals that walk's and a cold
+    `_scan`'s. Every winning row's price equals `_prices` on the rebuilt
+    broker list."""
+    m = Market(s)
+    broker, winners = build_broker_list(m), run_matching(s, market=m).payments
+    scan, fallbacks = matching_module._scan, []
+
+    def recording_scan(m, eb, es, deadline, trace):
+        fallbacks.append((eb, es))
+        return scan(m, eb, es, deadline, trace) if fallback else None
+
+    monkeypatch.setattr(matching_module, "_scan", recording_scan)
+    for sid in winners:
+        col = m.seller_index[sid]
+        column = matching_module._Column(broker, col)
+        for bid in bids_of(m, col, s.seller(sid).true_value):
+            slots = column.slots(bid)
+            first = column.first(slots)
+            known = first in column.tails
+            fallbacks.clear()
+            bi = column.winner(slots, bid, None)
+            if first is None:
+                path = "no accept" if column.end is not None else "rest dead end"
+            elif column.tails[first]:
+                path = "memo hit" if known else "tail pass"
+            else:
+                path = "tail dead end"
+            paths[path] += 1
+            eb, es = column.at(bid)
+            greedy = _greedy(m, eb, es)
+            assert (greedy is None) == path.endswith("dead end")
+            assert fallbacks == ([] if greedy is not None else [(eb, es)])
+            if greedy is not None:
+                assert bi == (greedy.index(col) if col in greedy else None)
+                assert greedy == scan(m, eb, es, None, None)
+            if bi is not None:
+                want = [col if r == bi else -1 for r in range(len(m.buyers))]
+                rebuilt = build_broker_list(m.with_bid(sid, bid))
+                assert column.price(bi, bid) == matching_module._prices(rebuilt, want)[1][bi]
+    monkeypatch.undo()
+
+
+def test_forward_pass_settles_each_grid_point_as_the_scan_does(monkeypatch):
+    """A grid point is settled from the rest list's forward pass (no accept
+    of the column, or a first accept whose tail pass completes, memoised per
+    sweep) or falls back to `_scan`, only at a dead end; a settled path
+    gives the winner and payment of a cold scan. Tiny markets run at every
+    C1 cut-off and value tie, C2-binding `small` and half-coverage `large`
+    on the default grid, where most fallbacks are. On `large` the fallback
+    scans are stubbed, since they are most of the run time and the rows
+    they give are the scan's own."""
+    grid = lambda m, col, q: default_bid_grid(q)  # noqa: E731
+    tiny, bound = collections.Counter(), collections.Counter()
+    for seed in range(200):
+        _settled_paths(make_tiny(seed), _column_bids, tiny, monkeypatch)
+    c2 = dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3))
+    for seed in range(10):
+        _settled_paths(generate(c2, seed=seed), grid, bound, monkeypatch)
+    # Here a column entry can sit just before the rest entry that the rest
+    # pass accepts there and that C2 then rejects; on seed 26 that changes
+    # the winner.
+    for seed in (3, 26):
+        _settled_paths(generate(c2, seed=seed), _column_bids, tiny, monkeypatch)
+    sparse = dataclasses.replace(preset("large"), coverage_density=0.5)
+    for seed in (3, 5, 6, *range(8, 17)):
+        _settled_paths(generate(sparse, seed=seed), grid, bound, monkeypatch, fallback=False)
+    assert tiny["no accept"] >= 250 and tiny["memo hit"] >= 2500 and tiny["tail pass"] >= 300
+    assert tiny["rest dead end"] >= 1300 and tiny["tail dead end"] >= 1500
+    assert bound["tail pass"] >= 900 and bound["memo hit"] >= 500
+    assert bound["rest dead end"] >= 1400 and bound["tail dead end"] >= 3000
 
 
 def test_sweep_reads_truthful_play_from_its_own_row():
