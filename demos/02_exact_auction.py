@@ -5,6 +5,7 @@ import math
 
 from vcauction import (
     GenConfig,
+    Market,
     generate,
     run_optimal_mechanism,
     solve_naive,
@@ -26,7 +27,8 @@ print(f"branch and bound: same objective {res.objective_value:.4f}, "
       f"{res.explored} search nodes and tie-break tests")
 assert abs(res.objective_value - naive.objective_value) <= 1e-9
 
-outcome = run_optimal_mechanism(s)
+# The mechanisms take the scenario compiled once into a `Market`.
+outcome = run_optimal_mechanism(Market(s))
 print("\nwinners and pivot payments:")
 for buyer, sid in sorted(outcome.assignment.pairs):
     seller = s.seller(sid)

@@ -31,7 +31,7 @@ for bi, buyer in enumerate(m.buyers[:3]):
 print(f"broker list: {len(broker.value)} entries, "
       f"top value {broker.value[0]:.3f}")
 
-outcome = run_matching(s)
+outcome = run_matching(m)
 events = Counter(ev[0] for ev in outcome.match_trace)
 print(f"scan events: {dict(events)}")
 print(f"matched objective: {outcome.objective_value:.4f}")

@@ -9,6 +9,8 @@ Run: python3 demos/05_bid_sweeps.py
 """
 from vcauction import (
     GenConfig,
+    Market,
+    build_broker_list,
     generate,
     preset,
     run_matching,
@@ -26,18 +28,18 @@ def show_curve(rows, q):
 
 
 cfg = GenConfig(job_types=(1,), sp_count=2, vms_per_sp=(1, 2))
-s = generate(cfg, seed=0)
-winner = next(iter(run_optimal_mechanism(s).payments))
-report = verify_truthfulness_opt(s, winner)
+m = Market(generate(cfg, seed=0))
+winner = next(iter(run_optimal_mechanism(m).payments))
+report = verify_truthfulness_opt(m, winner)
 print(f"exact auction, seller {winner.label()} "
       f"(true value {report['true_value']:.3f}):")
 show_curve(report["rows"], report["true_value"])
 print(f"  truthful utility {report['truthful_utility']:+.4f}, "
       f"dominant: {report['dominant']}")
 
-s2 = generate(preset("small"), seed=3)
-winner2 = next(iter(run_matching(s2).payments))
-mreport = verify_truthfulness_matching(s2, winner2)
+m2 = Market(generate(preset("small"), seed=3))
+winner2 = next(iter(run_matching(m2).payments))
+mreport = verify_truthfulness_matching(build_broker_list(m2), winner2)
 print(f"\ngreedy matching, seller {winner2.label()} "
       f"(true value {mreport['true_value']:.3f}):")
 show_curve(mreport["rows"], mreport["true_value"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Assignment, Scenario
+from .model import Assignment
 from .economics import Market, _edges_ok
 
 __all__ = ["BASELINE_KINDS", "run_baseline"]
@@ -21,22 +21,19 @@ BASELINE_KINDS = ("etpm", "lpm", "rmm")
 MAX_RESTARTS = 20
 
 
-def run_baseline(
-    s: Scenario, kind: str, seed: int = 0, *, market: Market | None = None
-) -> Assignment | None:
-    """Run one baseline policy; None when every attempt dead-ends.
+def run_baseline(m: Market, kind: str, seed: int = 0) -> Assignment | None:
+    """Run one baseline policy on the compiled market `m`; None when every
+    attempt dead-ends.
 
     Ties go to the lowest SellerId, and rmm draws uniformly from the
-    candidates in SellerId order. `market` is `s` compiled, when the caller
-    already has it.
+    candidates in SellerId order.
     """
     kind = kind.lower()
     if kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r}, expected one of {BASELINE_KINDS}")
     rng = np.random.default_rng(seed)
-    if not s.buyers:
+    if not m.buyers:
         return Assignment(())
-    m = market if market is not None else Market(s)
     sellers = np.arange(len(m.sellers))
     if kind != "rmm":
         # A stable sort keeps tied sellers in `SellerId` order.

@@ -115,7 +115,8 @@ class Market:
       `uos[i, k]` is that minus k's bid: the float operations of `uos`, so
       values are equal to the scalar ones bit for bit.
     - `feasible[i, k]` is C1 (`pair_feasible`).
-    - `sp_of[k]` is seller k's provider.
+    - `sp_of[k]` is seller k's provider, and `bid[k]` and `true_value[k]`
+      its reported bid and true value.
     - `edges[i]` lists buyer i's job-edge neighbours as `(j, allowed)`, where
       `allowed[m1][m2]` is C2 (`edge_feasible`) for buyer i on provider m1
       and buyer j on m2. The tables are Python lists, which per-node loops
@@ -131,6 +132,7 @@ class Market:
         self.sp_of = np.array([sid.sp_index for sid in self.sellers], dtype=np.intp)
         self.cap = np.array([sel.capability for sel in sellers], dtype=np.float64)
         self.bid = np.array([sel.bid for sel in sellers], dtype=np.float64)
+        self.true_value = tuple(sel.true_value for sel in sellers)
         jobs = [s.job_of(b) for b in self.buyers]
         alpha = np.array([job.alpha for job in jobs], dtype=np.float64)
         t = np.array(

@@ -2,9 +2,9 @@
 
 Every mechanism result passes through one chokepoint that re-validates the
 allocation against all constraints before it is reported or serialized, so an
-infeasible assignment can never leak into an output file. Each run compiles
-the scenario once: the mechanism, the re-validation and the objective read
-that one `Market`.
+infeasible assignment can never leak into an output file. The harness takes
+scenarios; each run compiles its scenario once, and the mechanism, the
+re-validation and the objective read that one `Market`.
 """
 from __future__ import annotations
 
@@ -96,21 +96,21 @@ def run_mechanism(
 
     try:
         if name == "opt":
-            outcome = run_optimal_mechanism(s, market=m, deadline=deadline)
+            outcome = run_optimal_mechanism(m, deadline=deadline)
             if outcome is not None:
                 assignment = outcome.assignment
                 payments = outcome.payments
                 detail["explored_nodes"] = outcome.explored_nodes
                 detail["pivot_nodes"] = outcome.pivot_nodes
         elif name == "maxuosg":
-            outcome = run_matching(s, market=m, deadline=deadline)
+            outcome = run_matching(m, deadline=deadline)
             detail["trace_events"] = len(outcome.match_trace)
             detail["match_trace"] = outcome.match_trace
             if outcome.success:
                 assignment = outcome.assignment
                 payments = outcome.payments
         else:
-            assignment = run_baseline(s, name, seed=seed, market=m)
+            assignment = run_baseline(m, name, seed=seed)
     except BudgetExceeded:
         truncated = True
 
@@ -333,9 +333,9 @@ def verify_report(
     for sid in sorted(run.payments):
         try:
             if mechanism == "opt":
-                sweep = verify_truthfulness_opt(s, sid, market=market, deadline=deadline)
+                sweep = verify_truthfulness_opt(market, sid, deadline=deadline)
             else:
-                sweep = verify_truthfulness_matching(s, sid, market=market, broker=broker, deadline=deadline)
+                sweep = verify_truthfulness_matching(broker, sid, deadline=deadline)
         except BudgetExceeded:
             report["truncated"] = True
             break

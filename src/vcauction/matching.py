@@ -164,10 +164,10 @@ def _all_rows_matched(rows: list[list[int]], n_cols: int) -> bool:
 
 
 def match(
-    s: Scenario, broker: BrokerPrefList, *, deadline: float | None = None
+    m: Market, broker: BrokerPrefList, *, deadline: float | None = None
 ) -> tuple[Assignment | None, tuple[tuple, ...]]:
-    """Scan the broker list built from `s` until every buyer is matched or
-    anchors run out.
+    """Scan `broker`, the broker list of the compiled market `m`, until
+    every buyer is matched or anchors run out.
 
     Returns the assignment (None on failure) and a trace of scan events:
     ("accept"|"skip"|"reject"|"delete"|"restart"|"prune", index) plus a final
@@ -181,8 +181,8 @@ def match(
     BudgetExceeded past the `perf_counter` time `deadline`.
     """
     trace: list[tuple] = []
-    seller_of = _scan(broker.market, broker.buyer.tolist(), broker.seller.tolist(), deadline, trace)
-    assignment = None if seller_of is None else Assignment(_pair_list(broker.market, seller_of))
+    seller_of = _scan(m, broker.buyer.tolist(), broker.seller.tolist(), deadline, trace)
+    assignment = None if seller_of is None else Assignment(_pair_list(m, seller_of))
     return assignment, tuple(trace)
 
 
@@ -360,14 +360,12 @@ def matching_payment(broker: BrokerPrefList, assignment: Assignment, winner: Sel
     return matching_payments(broker, Assignment(((buyer, winner),)))[1][winner]
 
 
-def run_matching(
-    s: Scenario, *, market: Market | None = None, deadline: float | None = None
-) -> MatchingOutcome:
-    """Full pipeline: build the broker list of `market` (`s` compiled, when
-    the caller already has it), match, price winners. The scan raises
-    BudgetExceeded past the `perf_counter` time `deadline`."""
-    broker = build_broker_list(market if market is not None else Market(s))
-    assignment, trace = match(s, broker, deadline=deadline)
+def run_matching(m: Market, *, deadline: float | None = None) -> MatchingOutcome:
+    """Full pipeline on the compiled market `m`: build its broker list,
+    match, price winners. The scan raises BudgetExceeded past the
+    `perf_counter` time `deadline`."""
+    broker = build_broker_list(m)
+    assignment, trace = match(m, broker, deadline=deadline)
     objective, payments = (0.0, {}) if assignment is None else matching_payments(broker, assignment)
     return MatchingOutcome(assignment, objective, payments, trace)
 
@@ -492,26 +490,22 @@ class _Column:
 
 
 def verify_truthfulness_matching(
-    s: Scenario, sid: SellerId, *, market: Market | None = None, broker: BrokerPrefList | None = None,
-    deadline: float | None = None,
+    broker: BrokerPrefList, sid: SellerId, *, deadline: float | None = None
 ) -> dict:
-    """`_sweep` of one seller through the full matching pipeline.
+    """`_sweep` of one seller through the full matching pipeline, on
+    `broker`, the `build_broker_list` of the market the seller reports in.
 
     The q row is the truthful run: its utility and broker list are what
     every row is compared with. Each row records the misreport outcome and
     whether the perturbation left the broker list's pair order unchanged
-    (the regime where no misreport should ever beat truth-telling).
-    `market` is `s` compiled and `broker` its `build_broker_list`, when the
-    caller already has them. A grid point re-prices the seller's column
-    (`_Column`), settles the match, and prices the swept seller alone, so
-    its row equals `run_matching` on `s` with that bid; the pair order is
-    kept when the column's entries have the truthful row's rest positions
-    and buyers. `_sweep` reads the clock before each grid point, and a scan
-    at each backtrack: both raise BudgetExceeded past the `perf_counter`
-    time `deadline`.
+    (the regime where no misreport should ever beat truth-telling). A grid
+    point re-prices the seller's column (`_Column`), settles the match, and
+    prices the swept seller alone, so its row equals `run_matching` on the
+    market with that bid; the pair order is kept when the column's entries
+    have the truthful row's rest positions and buyers. `_sweep` reads the
+    clock before each grid point, and a scan at each backtrack: both raise
+    BudgetExceeded past the `perf_counter` time `deadline`.
     """
-    if broker is None:
-        broker = build_broker_list(market if market is not None else Market(s))
     column = _Column(broker, broker.market.seller_index[sid])
     orders = []
 
@@ -521,8 +515,8 @@ def verify_truthfulness_matching(
         bi = column.winner(slots, bid, deadline)
         return None if bi is None else column.price(bi, bid)
 
-    q = s.seller(sid).true_value
-    rows, truthful_utility, gains = _sweep(s, sid, payment_at, deadline)
+    q = column.market.true_value[column.col]
+    rows, truthful_utility, gains = _sweep(q, sid, payment_at, deadline)
     truthful = next(order for r, order in zip(rows, orders) if r["bid"] == q)
     for row, order in zip(rows, orders):
         row["order_preserved"] = order == truthful

@@ -366,18 +366,15 @@ def vcg_payment(
     return f_star - without.objective_value + s.seller(sid).bid
 
 
-def run_optimal_mechanism(
-    s: Scenario, *, market: Market | None = None, deadline: float | None = None
-) -> OptOutcome | None:
-    """Winner determination plus a pivot payment per winner.
+def run_optimal_mechanism(m: Market, *, deadline: float | None = None) -> OptOutcome | None:
+    """Winner determination plus a pivot payment per winner on the compiled
+    market `m`.
 
     Returns None when no complete feasible assignment exists. The
     `perf_counter` time `deadline`, if given, bounds the main solve and all
-    payment re-solves together. The scenario is compiled once, unless the
-    caller passes it compiled as `market`, into one list form; each
+    payment re-solves together. `m` is read into one list form; each
     re-solve is `solve_optimal` with the winner excluded, on that list form.
     """
-    m = market if market is not None else Market(s)
     lists = _lists(m)
     res = _solve(m, lists, [], deadline)
     if res.assignment is None:
@@ -385,8 +382,9 @@ def run_optimal_mechanism(
     payments: dict[SellerId, float] = {}
     pivot_nodes = 0
     for _, sid in res.assignment.pairs:
-        without = _solve(m, lists, [m.seller_index[sid]], deadline)
-        payments[sid] = res.objective_value - without.objective_value + s.seller(sid).bid
+        k = m.seller_index[sid]
+        without = _solve(m, lists, [k], deadline)
+        payments[sid] = res.objective_value - without.objective_value + m.bid.item(k)
         pivot_nodes += without.explored
     return OptOutcome(res.assignment, res.objective_value, payments, res.explored, pivot_nodes)
 
@@ -398,17 +396,17 @@ def default_bid_grid(true_value: float) -> tuple[float, ...]:
     return tuple(sorted(pts))
 
 
-def _sweep(s: Scenario, sid: SellerId, payment_at, deadline: float | None) -> tuple:
-    """The bid sweep both truthfulness audits run: one row per bid of
-    `default_bid_grid(q)`, `payment_at(bid)` the seller's payment at that
-    bid, None when it loses. Utility is payment - q for a win, else 0.
+def _sweep(q: float, sid: SellerId, payment_at, deadline: float | None) -> tuple:
+    """The bid sweep both truthfulness audits run for seller `sid` of true
+    value `q`: one row per bid of `default_bid_grid(q)`, `payment_at(bid)`
+    the seller's payment at that bid, None when it loses. Utility is
+    payment - q for a win, else 0.
 
     Returns the rows, the utility of the truthful q row, and the bids whose
     utility beats it by more than the tolerance. The clock is read before
     each grid point: past the `perf_counter` time `deadline` the sweep
     raises BudgetExceeded.
     """
-    q = s.seller(sid).true_value
     rows = []
     for bid in default_bid_grid(q):
         if deadline is not None and time.perf_counter() > deadline:
@@ -421,21 +419,20 @@ def _sweep(s: Scenario, sid: SellerId, payment_at, deadline: float | None) -> tu
     return rows, truthful_utility, beats
 
 
-def verify_truthfulness_opt(
-    s: Scenario, sid: SellerId, *, market: Market | None = None, deadline: float | None = None
-) -> dict:
-    """`_sweep` of one seller through the exact auction: the seller wins
-    the re-bid market's optimum at bid b and is paid F(b) - F_without + b.
+def verify_truthfulness_opt(m: Market, sid: SellerId, *, deadline: float | None = None) -> dict:
+    """`_sweep` of one seller of the compiled market `m` through the exact
+    auction: the seller wins the re-bid market's optimum at bid b and is
+    paid F(b) - F_without + b.
 
     The removal term F_without never involves the swept seller's bid, so it
-    is computed once, as `solve_optimal` computes it. `market` is `s`
-    compiled, when the caller already has it; each grid point re-prices one
-    column of it. The report flags any bid whose utility beats the truthful
-    one. Every solve stops with BudgetExceeded past the `perf_counter` time
-    `deadline`.
+    is computed once, as `solve_optimal` computes it. Each grid point
+    re-prices one column of `m`. The report flags any bid whose utility
+    beats the truthful one. Every solve stops with BudgetExceeded past the
+    `perf_counter` time `deadline`.
     """
-    m = market if market is not None else Market(s)
-    f_wo = _solve(m, _lists(m), [m.seller_index[sid]], deadline).objective_value
+    k = m.seller_index[sid]
+    q = m.true_value[k]
+    f_wo = _solve(m, _lists(m), [k], deadline).objective_value
 
     def payment_at(bid: float) -> float | None:
         rebid = m.with_bid(sid, bid)
@@ -444,10 +441,10 @@ def verify_truthfulness_opt(
             return None
         return res.objective_value - f_wo + bid
 
-    rows, truthful_utility, violations = _sweep(s, sid, payment_at, deadline)
+    rows, truthful_utility, violations = _sweep(q, sid, payment_at, deadline)
     return {
         "seller": sid,
-        "true_value": s.seller(sid).true_value,
+        "true_value": q,
         "f_without": f_wo,
         "truthful_utility": truthful_utility,
         "rows": rows,

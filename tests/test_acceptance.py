@@ -67,12 +67,12 @@ def test_criterion_2_exact_mechanism_truthfulness():
     while feasible < 20 and seed < 300:
         s = make_tiny(seed)
         seed += 1
-        outcome = run_optimal_mechanism(s)
+        outcome = run_optimal_mechanism(Market(s))
         if outcome is None:
             continue
         feasible += 1
         for sid in outcome.payments:
-            report = verify_truthfulness_opt(s, sid)
+            report = verify_truthfulness_opt(Market(s), sid)
             assert report["dominant"], (
                 f"seed {seed - 1}, seller {sid.label()}: "
                 f"bids {report['dominance_violations']} beat truth-telling"
@@ -117,7 +117,7 @@ def test_criterion_4_matching_near_optimality():
         s = generate(preset("small"), seed=seed)
         opt = solve_optimal(s)
         assert opt.assignment is not None, f"seed {seed}: exact solver found no allocation"
-        matched = run_matching(s)
+        matched = run_matching(Market(s))
         value = matched.objective_value if matched.success else 0.0
         if value > opt.objective_value + 1e-9:
             gaps_ok = False
@@ -206,19 +206,19 @@ def test_criterion_7_constraint_compliance():
     for seed in range(400):
         s = make_tiny(seed)
         instances += 1
-        opt = run_optimal_mechanism(s)
+        opt = run_optimal_mechanism(Market(s))
         audit(s, opt.assignment if opt else None)
-        matched = run_matching(s)
+        matched = run_matching(Market(s))
         audit(s, matched.assignment)
         for kind in BASELINE_KINDS:
-            audit(s, run_baseline(s, kind, seed=seed))
+            audit(s, run_baseline(Market(s), kind, seed=seed))
     for name in ("small", "large"):
         for seed in range(300):
             s = generate(preset(name), seed=seed)
             instances += 1
-            audit(s, run_matching(s).assignment)
+            audit(s, run_matching(Market(s)).assignment)
             for kind in BASELINE_KINDS:
-                audit(s, run_baseline(s, kind, seed=seed))
+                audit(s, run_baseline(Market(s), kind, seed=seed))
 
     ok = instances >= 1000
     _verdict(7, ok, f"{instances} instances, {checked_assignments} allocations validated against all constraints")

@@ -7,6 +7,7 @@ from vcauction import (
     Assignment,
     BASELINE_KINDS,
     BuyerId,
+    Market,
     SellerId,
     assignment_feasible,
     generate,
@@ -21,19 +22,19 @@ from test_optimal import one_sp_scenario
 def test_policy_picks_on_single_buyer():
     # capabilities on offer: 0.3, 0.6, 0.25, 0.5; the 0.6 seller fails C1
     s = one_sp_scenario(times=(0.7,), alpha=3.0, bases=(0.3, 0.25))
-    etpm = run_baseline(s, "etpm")
+    etpm = run_baseline(Market(s), "etpm")
     assert dict(etpm.pairs) == {BuyerId(0, 0): SellerId(0, 1, 1)}
-    lpm = run_baseline(s, "lpm")
+    lpm = run_baseline(Market(s), "lpm")
     assert dict(lpm.pairs) == {BuyerId(0, 0): SellerId(0, 1, 2)}
     assert s.seller(SellerId(0, 1, 2)).bid == pytest.approx(0.55)
 
 
 def test_rmm_is_seed_deterministic():
     s = generate(preset("small"), seed=3)
-    a = run_baseline(s, "rmm", seed=5)
-    b = run_baseline(s, "rmm", seed=5)
+    a = run_baseline(Market(s), "rmm", seed=5)
+    b = run_baseline(Market(s), "rmm", seed=5)
     assert a == b
-    draws = {run_baseline(s, "rmm", seed=k) for k in range(8)}
+    draws = {run_baseline(Market(s), "rmm", seed=k) for k in range(8)}
     assert len(draws) > 1
 
 
@@ -43,7 +44,7 @@ def test_outputs_are_feasible_or_none():
     scenarios += [generate(preset("large"), seed=k) for k in range(3)]
     for s in scenarios:
         for kind in BASELINE_KINDS:
-            out = run_baseline(s, kind, seed=11)
+            out = run_baseline(Market(s), kind, seed=11)
             if out is not None:
                 assert assignment_feasible(s, out, require_complete=True)
 
@@ -59,7 +60,7 @@ def test_policies_equal_the_reference():
         tied = generate(cfg, seed=seed)
         for s in (tied, make_tiny(seed)):
             for kind in BASELINE_KINDS:
-                out = run_baseline(s, kind, seed=seed)
+                out = run_baseline(Market(s), kind, seed=seed)
                 assert out == reference_baseline(s, kind, seed=seed), (seed, kind)
                 assert out is not None or s is not tied, (seed, kind)
 
@@ -67,7 +68,7 @@ def test_policies_equal_the_reference():
 def test_unknown_kind_rejected():
     s = make_tiny(0)
     with pytest.raises(ValueError):
-        run_baseline(s, "greedy")
+        run_baseline(Market(s), "greedy")
 
 
 def test_zero_buyers_empty_assignment():
@@ -76,10 +77,10 @@ def test_zero_buyers_empty_assignment():
 
     empty = dataclasses.replace(s, jobs=(), coverage=(), sellers=())
     for kind in BASELINE_KINDS:
-        assert run_baseline(empty, kind) == Assignment(())
+        assert run_baseline(Market(empty), kind) == Assignment(())
 
 
 def test_unservable_buyer_returns_none():
     s = one_sp_scenario(times=(0.7, 0.1), alpha=3.0, bases=(0.3, 0.25))
     for kind in BASELINE_KINDS:
-        assert run_baseline(s, kind) is None
+        assert run_baseline(Market(s), kind) is None

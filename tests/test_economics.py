@@ -252,8 +252,8 @@ def test_complete_value_equals_the_scalar_rules_on_mechanism_outputs():
     outputs = 0
     kept = collections.Counter()
     for s in scenarios:
-        found = [solve_optimal(s).assignment, run_matching(s).assignment]
-        found += [run_baseline(s, kind, seed=s.seed) for kind in BASELINE_KINDS]
+        found = [solve_optimal(s).assignment, run_matching(Market(s)).assignment]
+        found += [run_baseline(Market(s), kind, seed=s.seed) for kind in BASELINE_KINDS]
         for a in filter(None, found):
             assert _agreed_feasible(s, a)
             outputs += 1
@@ -355,12 +355,12 @@ def test_market_is_never_mutated():
     m = Market(s)
     before = dict(vars(m))
     contents = copy.deepcopy(before)
-    match(s, build_broker_list(m))
+    match(m, build_broker_list(m))
     lists = optimal._lists(m)
     optimal._solve(m, lists, [], None)
     optimal._solve(m, lists, [0], None)
     m.with_bid(m.sellers[0], 0.5)
-    rows = verify_truthfulness_matching(s, min(run_matching(s, market=m).payments), market=m)["rows"]
+    rows = verify_truthfulness_matching(build_broker_list(m), min(run_matching(m).payments))["rows"]
     assert any(r["won"] for r in rows)
     assert vars(m).keys() == before.keys()
     assert [name for name, value in vars(m).items() if value is not before[name]] == []

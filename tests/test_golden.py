@@ -27,6 +27,8 @@ import vcauction
 from helpers import make_tiny
 from vcauction import (
     BASELINE_KINDS,
+    Market,
+    build_broker_list,
     experiment,
     generate,
     preset,
@@ -65,7 +67,7 @@ def _trace_digest(trace) -> str:
 
 
 def _matching(s) -> dict:
-    out = run_matching(s)
+    out = run_matching(Market(s))
     return {
         "pairs": _pairs(out.assignment),
         "objective": repr(out.objective_value),
@@ -76,7 +78,7 @@ def _matching(s) -> dict:
 
 
 def _baselines(s) -> dict:
-    return {kind: _pairs(run_baseline(s, kind, seed=s.seed)) for kind in BASELINE_KINDS}
+    return {kind: _pairs(run_baseline(Market(s), kind, seed=s.seed)) for kind in BASELINE_KINDS}
 
 
 def _solve(res) -> dict:
@@ -92,7 +94,7 @@ def _tiny(seed: int) -> dict:
     doc = {"maxuosg": _matching(s), "baselines": _baselines(s)}
     doc["naive"] = _solve(solve_naive(s))
     doc["optimal"] = _solve(solve_optimal(s))
-    opt = run_optimal_mechanism(s)
+    opt = run_optimal_mechanism(Market(s))
     doc["opt"] = None if opt is None else {
         "pairs": _pairs(opt.assignment),
         "objective": repr(opt.objective_value),
@@ -109,8 +111,8 @@ def _preset(name: str, seed: int) -> dict:
 
 def _sweep() -> dict:
     s = generate(preset("small"), seed=0)
-    sid = min(run_matching(s).payments)
-    report = verify_truthfulness_matching(s, sid)
+    sid = min(run_matching(Market(s)).payments)
+    report = verify_truthfulness_matching(build_broker_list(Market(s)), sid)
     return {
         "seller": _sid(sid),
         "truthful_utility": repr(report["truthful_utility"]),
@@ -137,7 +139,7 @@ def _pivot(seed: int, label: str) -> dict:
 def _opt_run(s) -> dict | None:
     """The whole exact auction. Node counts are left out: the root and pivot
     searches are pinned by `optimal` and `pivot`."""
-    out = run_optimal_mechanism(s)
+    out = run_optimal_mechanism(Market(s))
     return None if out is None else {
         "pairs": _pairs(out.assignment),
         "objective": repr(out.objective_value),

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from vcauction import (
     SellerId,
     TOLERANCE,
     bench_sweep,
+    build_broker_list,
     default_bid_grid,
     experiment,
     generate,
@@ -37,6 +39,7 @@ from vcauction import (
 )
 import vcauction.harness as harness
 
+import vcauction
 from helpers import backtrack_scenario, make_tiny, three_provider_scenario
 from test_optimal import one_sp_scenario
 
@@ -138,7 +141,7 @@ def test_maxuosg_budget_truncates_a_backtracking_scan():
 
 def test_opt_run_reports_root_and_pivot_nodes():
     s = generate(preset("small"), seed=0)
-    out = run_optimal_mechanism(s)
+    out = run_optimal_mechanism(Market(s))
     run = run_mechanism(s, "opt")
     assert run.detail["explored_nodes"] == out.explored_nodes == solve_optimal(s).explored
     assert run.detail["pivot_nodes"] == out.pivot_nodes > 0
@@ -240,8 +243,8 @@ def test_verify_report_flags_a_dominance_violation(monkeypatch):
     winner in the report's violations."""
     sweep_of = harness.verify_truthfulness_opt
 
-    def beaten(s, sid, **kwargs):
-        sweep = sweep_of(s, sid, **kwargs)
+    def beaten(m, sid, **kwargs):
+        sweep = sweep_of(m, sid, **kwargs)
         return {**sweep, "dominance_violations": [sweep["rows"][0]["bid"]]}
 
     monkeypatch.setattr(harness, "verify_truthfulness_opt", beaten)
@@ -293,12 +296,15 @@ def test_shared_market_changes_no_audit():
     cases = [(generate(preset("small"), seed=seed), "maxuosg") for seed in range(4)]
     cases.append((make_tiny(0), "opt"))
     for s, mechanism in cases:
-        sweep_of = verify_truthfulness_opt if mechanism == "opt" else verify_truthfulness_matching
+        if mechanism == "opt":
+            sweep_of, compiled = verify_truthfulness_opt, Market
+        else:
+            sweep_of, compiled = verify_truthfulness_matching, lambda s: build_broker_list(Market(s))
         report, rows = verify_report(s, mechanism)
         assert report["success"] and not report["truncated"] and report["sweeps"]
         expected_sweeps, expected_rows = [], []
         for w in sorted(report["winners"], key=lambda w: w["seller"]):
-            alone = sweep_of(s, SellerId(*w["seller"]))
+            alone = sweep_of(compiled(s), SellerId(*w["seller"]))
             expected_sweeps.append(
                 {
                     "seller": w["seller"],
@@ -336,7 +342,8 @@ def test_market_copies_share_the_edge_lists():
 def test_verify_report_budget_bounds_the_exact_sweeps():
     """The budget covers the exact auction and its bid sweeps together. On
     C2-binding `small` seed 2 (the golden `c2` config) the whole audit takes
-    about 3.5 s, nearly all of it in the sweeps' solves."""
+    about 2.6 s on a 2-CPU x86-64 machine, nearly all of it in the sweeps'
+    solves."""
     s = generate(dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3)), seed=2)
     start = time.perf_counter()
     report, _ = verify_report(s, "opt", budget_secs=1.0)
@@ -377,25 +384,27 @@ def test_zero_budget_truncates_a_matching_audit_whose_scans_never_backtrack():
 def _truncated_at_the_second_sweep(monkeypatch, mechanism: str):
     """`verify_report` on `small` seed 0 with the mechanism's sweep made to
     run out of budget at the second winner. Each sweep gets the audit's one
-    market, compiled from the scenario, and a finite deadline."""
+    market, compiled from the scenario (for the matching, as its one broker
+    list), and a finite deadline."""
     name = "verify_truthfulness_opt" if mechanism == "opt" else "verify_truthfulness_matching"
     sweep_of = getattr(harness, name)
     s = generate(preset("small"), seed=0)
     calls = []
 
-    def second_call_runs_out(s, sid, **kwargs):
-        calls.append(kwargs)
+    def second_call_runs_out(given, sid, **kwargs):
+        calls.append((given, kwargs))
         if len(calls) == 2:
             raise BudgetExceeded("sweep stopped")
-        return sweep_of(s, sid, **kwargs)
+        return sweep_of(given, sid, **kwargs)
 
     monkeypatch.setattr(harness, name, second_call_runs_out)
     report, rows = verify_report(s, mechanism)
     assert len(calls) == 2
-    market = calls[0]["market"]
+    given = calls[0][0]
+    market = given if mechanism == "opt" else given.market
     assert isinstance(market, Market) and market.buyers == s.buyers
-    assert calls[1]["market"] is market
-    assert all(math.isfinite(kwargs["deadline"]) for kwargs in calls)
+    assert calls[1][0] is given
+    assert all(math.isfinite(kwargs["deadline"]) for _, kwargs in calls)
     assert report["truncated"] and report["success"]
     assert len(report["sweeps"]) == 1 < len(report["winners"])
     assert {r["seller"] for r in rows} == {"%d:%d:%d" % tuple(report["sweeps"][0]["seller"])}
@@ -495,15 +504,81 @@ def test_bench_sweep_flags_budget_exhaustion():
     assert rows[0]["enum_maps"] == ""
 
 
-def test_traced_functions_exist():
-    """Every `(module, function)` that the benchmark's tracer rebinds
-    (`TRACED` in `perfbench/spans.py`) is still a function of the package:
-    a traced run would otherwise fail on a renamed or deleted one."""
+def _spans_module():
+    """`perfbench/spans.py`, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_functions_exist():
+    """Every `(module, function)` that the benchmark's tracer rebinds
+    (`TRACED` in `perfbench/spans.py`) is still a function of the package:
+    a traced run would otherwise fail on a renamed or deleted one."""
+    spans = _spans_module()
     assert spans.TRACED
     for module, name, _ in spans.TRACED:
         fn = getattr(importlib.import_module(f"vcauction.{module}"), name, None)
         assert callable(fn), f"vcauction.{module}.{name}"
+
+
+def test_tracer_reads_the_arguments_of_every_traced_call(monkeypatch):
+    """Every traced function, wrapped in its `Tracer.span` and rebound
+    wherever the package holds it (as `Tracer.install` does, but undone at
+    teardown), keeps working, and every attrs reader of `TRACED` runs on
+    the calls a traced benchmark makes: a set-up pass, one auction per
+    mechanism, both audits, `solve_optimal`, `vcg_payment` and a buyer
+    list. `layer_metrics` then gives every per-layer figure that
+    `BENCHMARK.json` declares."""
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    ran: dict[str, int] = {}
+
+    def counted(name, attrs):
+        def read(args, kwargs, out):
+            ran[name] = ran.get(name, 0) + 1
+            return attrs(args, kwargs, out)
+
+        return read
+
+    modules = [m for n, m in list(sys.modules.items()) if n == "vcauction" or n.startswith("vcauction.")]
+    readers = set()
+    for module, fname, attrs in spans.TRACED:
+        name = f"{module}.{fname}"
+        if attrs is not None:
+            readers.add(name)
+            attrs = counted(name, attrs)
+        orig = getattr(sys.modules[f"vcauction.{module}"], fname)
+        wrapped = tracer.span(name, orig, attrs)
+        for m in modules:
+            for key, value in list(vars(m).items()):
+                if value is orig:
+                    monkeypatch.setattr(m, key, wrapped)
+
+    tracer.auction = "setup:0"
+    s = vcauction.scenario_loads(vcauction.scenario_dumps(vcauction.generate(TINY_CFG, seed=0)))
+    assert vcauction.validate_scenario(s) == []
+    tracer.auction = "auction:0"
+    for name in MECHANISMS:
+        assert vcauction.run_mechanism(s, name, seed=0).success, name
+    for mechanism in ("opt", "maxuosg"):
+        report, rows = vcauction.verify_report(s, mechanism)
+        assert report["success"] and not report["truncated"] and rows
+    best = vcauction.solve_optimal(s)
+    sid = best.assignment.pairs[0][1]
+    assert vcauction.vcg_payment(s, best.assignment, best.objective_value, sid) >= s.seller(sid).bid
+    vcauction.build_buyer_list(s, s.buyers[0])
+
+    assert ran.keys() == readers
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    assert metrics.keys() == {layer["name"] for layer in declared["per_layer"]}
+    assert all(math.isfinite(value) for value, _ in metrics.values())
+    # One figure fed by each reader, and the set-up pass's.
+    fed = ("matching.list_entries", "matching.scan_events", "matching.scan_accept_ratio", "baselines.etpm_ms",
+           "baselines.lpm_ms", "baselines.rmm_ms", "optimal.root_ms", "optimal.pivot_ms", "harness.sweep_points",
+           "generator.generate_ms")
+    for name in fed:
+        assert metrics[name][0] > 0, name

@@ -148,7 +148,7 @@ def test_backtracking_run_frozen_trace():
         ("accept", 5),
         ("complete",),
     )
-    out = run_matching(s)
+    out = run_matching(Market(s))
     assert out.success
     assert out.match_trace == (
         ("accept", 0),
@@ -180,7 +180,7 @@ def test_backtracking_run_frozen_trace():
 
 
 def test_deletion_branch_reachable():
-    out = run_matching(make_tiny(17))
+    out = run_matching(Market(make_tiny(17)))
     kinds = [ev[0] for ev in out.match_trace]
     assert "delete" in kinds
 
@@ -206,7 +206,7 @@ def test_pruned_scan_returns_the_reference_assignment():
     pruned = 0
     for s in _scan_cases():
         broker = build_broker_list(Market(s))
-        got, trace = match(s, broker)
+        got, trace = match(broker.market, broker)
         want, _ = reference_match(s, broker)
         assert got == want
         pruned += any(ev[0] == "prune" for ev in trace)
@@ -224,7 +224,7 @@ def test_trace_free_scan_equals_the_traced_one():
     backtracked = 0
     for s in cases:
         broker = build_broker_list(Market(s))
-        assignment, trace = match(s, broker)
+        assignment, trace = match(broker.market, broker)
         lists = broker.market, broker.buyer.tolist(), broker.seller.tolist()
         seller_of = matching_module._scan(*lists, None, None)
         if assignment is None:
@@ -245,7 +245,8 @@ def _timed_scan(cfg, seed):
     """The scan on `cfg` at `seed`, stopped by its budget after 1 s."""
     s = generate(cfg, seed=seed)
     start = time.perf_counter()
-    assignment, trace = match(s, build_broker_list(Market(s)), deadline=start + 1.0)
+    m = Market(s)
+    assignment, trace = match(m, build_broker_list(m), deadline=start + 1.0)
     assert time.perf_counter() - start < 1.0
     return s, assignment, trace
 
@@ -265,9 +266,8 @@ def test_prune_heavy_c2_scan_frozen():
     relaxes C2 between open buyers. Its event counts, trace and assignment
     are frozen; a 30 s deadline turns a hang into a failure."""
     s = generate(dataclasses.replace(preset("large"), lambda_range=(0.2, 0.3)), seed=5)
-    assignment, trace = match(
-        s, build_broker_list(Market(s)), deadline=time.perf_counter() + 30.0
-    )
+    m = Market(s)
+    assignment, trace = match(m, build_broker_list(m), deadline=time.perf_counter() + 30.0)
     assert collections.Counter(ev[0] for ev in trace) == {
         "accept": 11862,
         "skip": 69090,
@@ -307,12 +307,12 @@ def test_scan_budget_stops_at_a_backtrack():
     s = backtrack_scenario()
     broker = build_broker_list(Market(s))
     with pytest.raises(BudgetExceeded):
-        match(s, broker, deadline=time.perf_counter() - 1.0)
+        match(broker.market, broker, deadline=time.perf_counter() - 1.0)
     # A scan that never backtracks never reads the clock.
-    out = run_matching(payment_example_scenario(), deadline=time.perf_counter() - 1.0)
+    out = run_matching(Market(payment_example_scenario()), deadline=time.perf_counter() - 1.0)
     assert out.success
     with pytest.raises(BudgetExceeded):
-        verify_truthfulness_matching(s, SellerId(1, 0, 1), deadline=time.perf_counter() - 1.0)
+        verify_truthfulness_matching(broker, SellerId(1, 0, 1), deadline=time.perf_counter() - 1.0)
 
 
 def _counting_clock(monkeypatch) -> list[str]:
@@ -335,13 +335,13 @@ def test_budget_stops_a_fallback_scan_whatever_the_speed(monkeypatch):
     raises from the scan, and `verify_report` marks the audit truncated and
     keeps the rows of the sweeps it finished."""
     s = generate(dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3)), seed=0)
-    sid = min(run_matching(s).payments)
+    sid = min(run_matching(Market(s)).payments)
     reads = _counting_clock(monkeypatch)
-    verify_truthfulness_matching(s, sid, deadline=math.inf)
+    verify_truthfulness_matching(build_broker_list(Market(s)), sid, deadline=math.inf)
     first = reads.index("_scan")
     reads.clear()
     with pytest.raises(BudgetExceeded, match="matching scan stopped"):
-        verify_truthfulness_matching(s, sid, deadline=first + 0.5)
+        verify_truthfulness_matching(build_broker_list(Market(s)), sid, deadline=first + 0.5)
     assert len(reads) == first + 1
 
     reads.clear()
@@ -359,7 +359,7 @@ def test_budget_stops_a_fallback_scan_whatever_the_speed(monkeypatch):
 
 def test_uncoverable_buyer_fails():
     s = one_sp_scenario(times=(0.7, 0.1), alpha=3.0, bases=(0.2,))
-    out = run_matching(s)
+    out = run_matching(Market(s))
     assert not out.success
     assert out.assignment is None
     assert out.payments == {}
@@ -381,7 +381,7 @@ def test_unservable_buyer_fails_fast():
     assert validate_scenario(s) == []
     assert not any(pair_feasible(s, BuyerId(0, 0), sel.id) for sel in s.sellers)
     start = time.perf_counter()
-    out = run_matching(s)
+    out = run_matching(Market(s))
     assert time.perf_counter() - start < 1.0
     assert out.assignment is None and out.payments == {}
     assert out.match_trace == (("fail",),)
@@ -400,7 +400,7 @@ def test_zero_buyers_trivially_complete():
         sellers=(),
     )
     assert validate_scenario(s) == []
-    out = run_matching(s)
+    out = run_matching(Market(s))
     assert out.success
     assert out.assignment == Assignment(())
     assert out.payments == {}
@@ -409,7 +409,7 @@ def test_zero_buyers_trivially_complete():
 
 def test_payment_worked_example():
     s = payment_example_scenario()
-    out = run_matching(s)
+    out = run_matching(Market(s))
     winner = SellerId(0, 0, 1)
     assert dict(out.assignment.pairs) == {BuyerId(0, 0): winner}
     assert out.payments[winner] == pytest.approx(0.3)
@@ -454,7 +454,7 @@ def test_one_pass_pricing_matches_the_buyer_lists():
     cases += [generate(preset("large"), seed=seed) for seed in range(10)]
     priced = virtual = 0
     for s in cases:
-        out = run_matching(s)
+        out = run_matching(Market(s))
         if not out.success:
             continue
         assert out.objective_value == objective(s, out.assignment)
@@ -473,7 +473,7 @@ def test_payments_cover_bids_everywhere():
     seen = 0
     for seed in range(120):
         s = make_tiny(seed)
-        out = run_matching(s)
+        out = run_matching(Market(s))
         if not out.success:
             continue
         seen += 1
@@ -494,13 +494,13 @@ def test_scan_step_bound_on_preset_instances():
             s = generate(cfg, seed=seed)
             broker = build_broker_list(Market(s))
             L, b = len(broker.buyer), len(s.buyers)
-            _, trace = match(s, broker)
+            _, trace = match(broker.market, broker)
             visits = sum(1 for ev in trace if ev[0] in ("accept", "skip", "reject"))
             assert visits <= (L - b) * b + L
 
 
 def test_trace_serializes_to_json():
-    out = run_matching(make_tiny(2))
+    out = run_matching(Market(make_tiny(2)))
     doc = json.dumps([list(ev) for ev in out.match_trace])
     back = json.loads(doc)
     assert tuple(tuple(ev) for ev in back) == out.match_trace
@@ -513,11 +513,11 @@ def test_sweep_gains_need_reordering_or_virtual_pricing():
     checked_rows = 0
     for seed in range(24):
         s = make_tiny(seed)
-        out = run_matching(s)
+        out = run_matching(Market(s))
         if not out.success:
             continue
         for sid in out.payments:
-            report = verify_truthfulness_matching(s, sid)
+            report = verify_truthfulness_matching(build_broker_list(Market(s)), sid)
             for row in report["rows"]:
                 checked_rows += 1
                 if not row["won"]:
@@ -526,7 +526,7 @@ def test_sweep_gains_need_reordering_or_virtual_pricing():
                     continue
                 assert row["bid"] > s.seller(sid).true_value
                 s2 = s.with_seller_bid(sid, row["bid"])
-                out2 = run_matching(s2)
+                out2 = run_matching(Market(s2))
                 buyer = out2.assignment.buyer_of(sid)
                 lst = build_buyer_list(s2, buyer)
                 assert lst.real_entries()[-1].seller == sid
@@ -536,7 +536,7 @@ def test_sweep_gains_need_reordering_or_virtual_pricing():
 def _small_sweep_seller():
     """`small` seed 0 and its lowest winning seller."""
     s = generate(preset("small"), seed=0)
-    return s, min(run_matching(s).payments)
+    return s, min(run_matching(Market(s)).payments)
 
 
 def test_sweep_settles_small_grid_points_without_a_scan(monkeypatch):
@@ -563,7 +563,7 @@ def test_sweep_settles_small_grid_points_without_a_scan(monkeypatch):
     monkeypatch.setattr(matching_module._Column, "_pass", counting_pass)
     monkeypatch.setattr(matching_module._Column, "first", recording_first)
     monkeypatch.setattr(matching_module, "_scan", counting_scan)
-    report = verify_truthfulness_matching(s, sid)
+    report = verify_truthfulness_matching(build_broker_list(Market(s)), sid)
     assert len(report["rows"]) == len(firsts) == 22 and scans == []
     assert len(passes) == 1 + len(set(firsts) - {None}) == 4
     # The rest pass starts empty; each tail starts with its row on the column.
@@ -578,9 +578,9 @@ def test_sweep_is_the_per_bid_pipeline():
     cases += [generate(preset("small"), seed=seed) for seed in range(4)]
     checked = 0
     for s in cases:
-        for sid in run_matching(s).payments:
-            for row in verify_truthfulness_matching(s, sid)["rows"]:
-                alone = run_matching(s.with_seller_bid(sid, row["bid"]))
+        for sid in run_matching(Market(s)).payments:
+            for row in verify_truthfulness_matching(build_broker_list(Market(s)), sid)["rows"]:
+                alone = run_matching(Market(s.with_seller_bid(sid, row["bid"])))
                 assert row["won"] == (sid in alone.payments)
                 assert row["payment"] == alone.payments.get(sid)
                 checked += 1
@@ -611,7 +611,7 @@ def test_repriced_column_equals_the_rebuilt_broker_list():
     for seed in range(200):
         s = make_tiny(seed)
         m = Market(s)
-        for sid in run_matching(s, market=m).payments:
+        for sid in run_matching(m).payments:
             col = m.seller_index[sid]
             column = matching_module._Column(build_broker_list(m), col)
             last_bid, last_len = -math.inf, 0
@@ -653,7 +653,7 @@ def _settled_paths(s: Scenario, bids_of, paths: collections.Counter, monkeypatch
     `_scan`'s. Every winning row's price equals `_prices` on the rebuilt
     broker list."""
     m = Market(s)
-    broker, winners = build_broker_list(m), run_matching(s, market=m).payments
+    broker, winners = build_broker_list(m), run_matching(m).payments
     scan, fallbacks = matching_module._scan, []
 
     def recording_scan(m, eb, es, deadline, trace):
@@ -726,10 +726,10 @@ def test_sweep_reads_truthful_play_from_its_own_row():
     the bid itself, and truthful play is the row at the true value."""
     s, sid = _small_sweep_seller()
     q = s.seller(sid).true_value
-    report = verify_truthfulness_matching(s.with_seller_bid(sid, 10 * q), sid)
+    report = verify_truthfulness_matching(build_broker_list(Market(s.with_seller_bid(sid, 10 * q))), sid)
     q_row = next(r for r in report["rows"] if r["bid"] == q)
     assert q_row["won"]
     assert report["truthful_utility"] == q_row["utility"] > 0
     assert q_row["order_preserved"] is True
     assert q_row["classification"] == "equal"
-    assert report == verify_truthfulness_matching(s, sid)
+    assert report == verify_truthfulness_matching(build_broker_list(Market(s)), sid)

@@ -153,7 +153,7 @@ def test_c2_binding_solves_match_enumeration():
     for seed in range(50):
         s = generate(cfg, seed=seed)
         root = solve_naive(s)
-        out = run_optimal_mechanism(s)
+        out = run_optimal_mechanism(Market(s))
         if root.assignment is None:
             assert out is None, seed
             continue
@@ -190,7 +190,7 @@ def test_pivot_resolves_match_enumeration():
     checked = 0
     for seed in range(200):
         s = make_tiny(seed)
-        out = run_optimal_mechanism(s)
+        out = run_optimal_mechanism(Market(s))
         if out is None:
             continue
         for winner in out.payments:
@@ -210,7 +210,7 @@ def test_seeded_pivot_resolves_match_enumeration():
     checked = 0
     for seed in range(200):
         s = make_tiny(seed)
-        out = run_optimal_mechanism(s)
+        out = run_optimal_mechanism(Market(s))
         if out is None:
             continue
         m = Market(s)
@@ -234,7 +234,7 @@ def test_pivot_resolves_are_solve_optimal_without_the_winner():
     tinies = (make_tiny(seed) for seed in range(200))
     smalls = (generate(preset("small"), seed=seed) for seed in range(10))
     for s in itertools.chain(tinies, smalls):
-        out = run_optimal_mechanism(s)
+        out = run_optimal_mechanism(Market(s))
         if out is None:
             continue
         nodes = 0
@@ -300,7 +300,7 @@ def test_tie_break_matches_enumeration_on_swap_ties():
             continue
         tied += 1
         assert all(root.assignment.pairs < t.pairs for t in _swap_ties(s, root.assignment))
-        out = run_optimal_mechanism(s)
+        out = run_optimal_mechanism(Market(s))
         assert out.assignment == root.assignment, seed
         assert repr(out.objective_value) == repr(root.objective_value), seed
         for winner in out.payments:
@@ -373,7 +373,7 @@ def test_zero_buyers_yield_empty_assignment():
     assert validate_scenario(s) == []
     assert solve_naive(s).assignment == Assignment(())
     assert solve_optimal(s).assignment == Assignment(())
-    out = run_optimal_mechanism(s)
+    out = run_optimal_mechanism(Market(s))
     assert out is not None
     assert out.payments == {}
     assert out.objective_value == 0.0
@@ -384,13 +384,13 @@ def test_unservable_buyer_makes_problem_infeasible():
     s = one_sp_scenario(times=(0.7, 0.1), alpha=3.0, bases=(0.4, 0.25))
     assert solve_naive(s).assignment is None
     assert solve_optimal(s).assignment is None
-    assert run_optimal_mechanism(s) is None
+    assert run_optimal_mechanism(Market(s)) is None
 
 
 def test_pivot_payment_two_seller_example():
     s = one_sp_scenario(times=(0.7,), alpha=3.0, bases=(0.25,))
     # sellers: rank 1 cap 0.25 (q 0.75, surplus 0.60), rank 2 cap 0.5 (q 0.55, surplus 0.05)
-    out = run_optimal_mechanism(s)
+    out = run_optimal_mechanism(Market(s))
     assert out is not None
     winner = SellerId(0, 0, 1)
     assert dict(out.assignment.pairs) == {BuyerId(0, 0): winner}
@@ -403,14 +403,14 @@ def test_pivot_payment_two_seller_example():
 def test_pivot_payment_sole_seller():
     s = one_sp_scenario(times=(0.3,), alpha=20.0, bases=(0.25,))
     assert len(s.sellers) == 1
-    out = run_optimal_mechanism(s)
+    out = run_optimal_mechanism(Market(s))
     winner = SellerId(0, 0, 1)
     assert out.payments[winner] == pytest.approx(1.0)  # bid 0.75 + surplus 0.25
 
 
 def test_pivot_payment_identical_rivals_pay_bid():
     s = one_sp_scenario(times=(0.5,), alpha=5.0, bases=(0.3, 0.3))
-    out = run_optimal_mechanism(s)
+    out = run_optimal_mechanism(Market(s))
     winner = SellerId(0, 0, 1)  # canonical tie-break picks the lower VM index
     assert dict(out.assignment.pairs) == {BuyerId(0, 0): winner}
     assert out.payments[winner] == pytest.approx(s.seller(winner).bid)
@@ -423,7 +423,7 @@ def test_vcg_payment_equals_the_auctions_payments():
     for name in ("small", "large"):
         for seed in range(10):
             s = generate(preset(name), seed=seed)
-            out = run_optimal_mechanism(s)
+            out = run_optimal_mechanism(Market(s))
             for sid, payment in out.payments.items():
                 assert vcg_payment(s, out.assignment, out.objective_value, sid) == payment, (name, seed, sid)
                 checked += 1
@@ -443,7 +443,7 @@ def test_payments_cover_bids_on_random_tinies():
     seen = 0
     for seed in range(60):
         s = make_tiny(seed)
-        out = run_optimal_mechanism(s)
+        out = run_optimal_mechanism(Market(s))
         if out is None:
             continue
         seen += 1
@@ -486,14 +486,14 @@ def test_sweep_rows_and_the_bids_that_beat_truth():
     def payment_at(bid):  # loses above q, and is paid most at q
         return None if bid > q else q + (1.0 if bid == q else 0.1)
 
-    rows, truthful, beats = _sweep(s, sid, payment_at, None)
+    rows, truthful, beats = _sweep(q, sid, payment_at, None)
     assert [r["bid"] for r in rows] == list(default_bid_grid(q))
     assert truthful == pytest.approx(1.0)
     assert beats == []
     for r in rows:
         assert r["won"] == (r["bid"] <= q)
         assert r["utility"] == (r["payment"] - q if r["won"] else 0.0)
-    rows, truthful, beats = _sweep(s, sid, lambda bid: bid + 0.1, None)
+    rows, truthful, beats = _sweep(q, sid, lambda bid: bid + 0.1, None)
     assert truthful == pytest.approx(0.1)
     assert beats == [r["bid"] for r in rows if r["bid"] > q]
 
@@ -503,9 +503,10 @@ def test_sweep_reads_the_clock_before_each_grid_point():
     next bid, whatever `payment_at` costs."""
     s = one_sp_scenario(times=(0.7,), alpha=3.0, bases=(0.25,))
     sid = SellerId(0, 0, 1)
+    q = s.seller(sid).true_value
     priced = []
     with pytest.raises(BudgetExceeded, match="bid sweep of s0.0.1"):
-        _sweep(s, sid, priced.append, time.perf_counter() - 1.0)
+        _sweep(q, sid, priced.append, time.perf_counter() - 1.0)
     assert priced == []
 
     deadline = time.perf_counter() + 0.2
@@ -515,7 +516,7 @@ def test_sweep_reads_the_clock_before_each_grid_point():
         time.sleep(max(0.0, deadline - time.perf_counter()) + 0.001)
 
     with pytest.raises(BudgetExceeded):
-        _sweep(s, sid, outlasts_the_deadline, deadline)
+        _sweep(q, sid, outlasts_the_deadline, deadline)
     assert len(priced) == 1
 
 
@@ -530,7 +531,7 @@ def test_default_bid_grid_shape():
 
 def test_truthful_bid_dominates_on_worked_example():
     s = one_sp_scenario(times=(0.7,), alpha=3.0, bases=(0.25,))
-    report = verify_truthfulness_opt(s, SellerId(0, 0, 1))
+    report = verify_truthfulness_opt(Market(s), SellerId(0, 0, 1))
     assert report["dominant"]
     assert report["dominance_violations"] == []
     assert report["truthful_utility"] == pytest.approx(0.55)
