@@ -9,14 +9,15 @@ solvers agree exactly. Both search complete assignments only (C3): there is
 no partial mode.
 
 solve_optimal first finds the optimum's value with one assignment solve over
-C1: its matching is the optimum when it keeps C2, and otherwise a depth-first
-search bounded by its duals runs and keeps strict gains only. It then breaks
-ties: buyers are fixed in `BuyerId` order, each on its first seller in
-`SellerId` order that still leaves a completion worth the optimum within the
-tolerance. Every buyer is matched, so that is the smallest pair list. Each
-such test first tries trading sellers with the last completion found, and
-otherwise is one more assignment solve, and a search only when its matching
-breaks C2.
+C1: its matching is the optimum when it keeps C2. Otherwise a search gives
+buyers provider labels, the only thing C2 reads, one broken job edge at a
+time, and re-solves with each labelled buyer held to its provider's sellers;
+it keeps strict gains only. It then breaks ties: buyers are fixed in
+`BuyerId` order, each on its first seller in `SellerId` order that still
+leaves a completion worth the optimum within the tolerance. Every buyer is
+matched, so that is the smallest pair list. Each such test first tries
+trading sellers with the last completion found, and otherwise is one more
+assignment solve, and a search only when its matching breaks C2.
 
 Payments follow the pivot rule: a winner receives its bid plus the welfare it
 adds, F(K*) - F_without, where F_without re-solves the scenario with that
@@ -63,8 +64,9 @@ class SolveResult:
     assignment: Assignment | None
     objective_value: float  # 0.0 when there is no complete assignment
     # solve_naive: candidate maps enumerated. solve_optimal: search nodes
-    # (one per buyer placed) of both phases plus the tie-break's completion
-    # tests; 0 when the assignment solves settle everything.
+    # (one per provider label tried, each an assignment solve) of both
+    # phases plus the tie-break's completion tests; 0 when the root
+    # assignment solve settles everything.
     explored: int
 
 
@@ -200,14 +202,19 @@ def _solve(m: Market, lists: tuple, banned: list[int], deadline: float | None) -
         if deadline is not None and time.perf_counter() > deadline:
             raise BudgetExceeded("optimal solve exceeded its budget")
 
-    def relax(assigned: list[int], used: int) -> tuple:
+    def relax(assigned: list[int], used: int, labels: dict[int, int]) -> tuple:
         """The assignment solve over C1 (C2 dropped) of the buyers that
         `assigned` (seller per buyer, -1 when open) leaves open to the
-        sellers outside `used`: the open buyers in search order, then the
-        value, columns and duals of `_max_assignment`."""
+        sellers outside `used`, a buyer of `labels` only to its provider's:
+        the open buyers in search order, then the value, columns and duals
+        of `_max_assignment`."""
         check_deadline()
         open_ = [bi for bi in order if assigned[bi] < 0]
-        rows = [[(si, uos[bi][si]) for si in candidates[bi] if not (used >> si) & 1] for bi in open_]
+        rows = [
+            [(si, uos[bi][si]) for si in candidates[bi]
+             if not (used >> si) & 1 and labels.get(bi, sp_of[si]) == sp_of[si]]
+            for bi in open_
+        ]
         return (open_, *_max_assignment(rows, ns))
 
     def search(assigned: list[int], used: int, total: float, floor: float, first: bool, relaxed):
@@ -216,65 +223,50 @@ def _solve(m: Market, lists: tuple, banned: list[int], deadline: float | None) -
         first one found when `first`, else the best, each find raising
         `floor` past itself; None if there is none.
 
-        `relaxed` is `relax(assigned, used)`. Below `floor` it proves there
-        is nothing to find; when its matching keeps C2, that matching is the
-        answer. Otherwise a depth-first search runs, bounded at every node by
-        the relaxation's column duals."""
-        open_, value, cols, v = relaxed
-        if value == -math.inf or total + value < floor:
-            return None
-        trial = list(assigned)
-        for bi, si in zip(open_, cols):
-            if not _edges_ok(edges, sp_of, trial, bi, si):
-                break
-            trial[bi] = si
-        else:
-            return trial
-        largest_v = sorted(((v[si], 1 << si) for si in range(ns) if v[si] > 0.0), reverse=True)
-        reduced = [
-            sorted(((uos[bi][si] - v[si], 1 << si) for si in candidates[bi]), reverse=True)
-            for bi in open_
-        ]
-        found = None
+        `relaxed` is `relax(assigned, used, {})`. Below `floor` it proves
+        there is nothing to find; when its matching keeps C2, that matching
+        is the answer. Otherwise the search labels open buyers with
+        providers: it takes the first job edge the matching breaks, and
+        tries on its open unlabelled endpoint each provider that keeps C2
+        with that buyer's placed and labelled neighbours. Each label
+        re-solves the relaxation with every labelled buyer held to its
+        provider's sellers, and the same two rules apply to it. A labelled
+        buyer keeps C2 with every placed and labelled neighbour, so a broken
+        edge always has such an endpoint, and a matching that keeps C2 is
+        the best completion under its labels."""
+        found, labels = None, {}
 
-        def dfs(pos: int, used: int, total: float) -> bool:
+        def branch(relaxed) -> bool:
             nonlocal nodes, floor, found
-            if nodes % 2048 == 0:
-                check_deadline()
-            # Reduced-cost bound, admissible by weak duality (v >= 0 and
-            # u_i + v_j >= w_ij): a completion is worth at most each open
-            # buyer's best w - v over free sellers plus the largest free v,
-            # one per buyer.
-            bound, left = total, len(open_) - pos
-            for vj, bit in largest_v:
-                if left and not used & bit:
-                    bound, left = bound + vj, left - 1
-            for row in reduced[pos:]:
-                for r, bit in row:
-                    if not used & bit:
-                        bound += r
-                        break
-                else:
-                    return False
-            if bound < floor:
+            open_, value, cols, _ = relaxed
+            if value == -math.inf or total + value < floor:
                 return False
-            if pos == len(open_):
-                found = list(assigned)
-                floor = total + TOLERANCE
+            trial = list(assigned)
+            for bi, si in zip(open_, cols):
+                if not _edges_ok(edges, sp_of, trial, bi, si):
+                    break
+                trial[bi] = si
+            else:
+                found, floor = trial, total + value + TOLERANCE
                 return first
-            bi = open_[pos]
-            for si in candidates[bi]:
-                if (used >> si) & 1 or not _edges_ok(edges, sp_of, assigned, bi, si):
+            if bi in labels:
+                bi = next(o for o, ok in edges[bi] if trial[o] >= 0 and not ok[sp_of[si]][sp_of[trial[o]]])
+            for p in sorted({sp_of[si] for si in candidates[bi]}):
+                # An open unlabelled neighbour reads as p, which C2 allows.
+                if any(
+                    not ok[p][sp_of[assigned[o]] if assigned[o] >= 0 else labels.get(o, p)]
+                    for o, ok in edges[bi]
+                ):
                     continue
                 nodes += 1
-                assigned[bi] = si
-                stop = dfs(pos + 1, used | (1 << si), total + uos[bi][si])
-                assigned[bi] = -1
+                labels[bi] = p
+                stop = branch(relax(assigned, used, labels))
+                del labels[bi]
                 if stop:
                     return True
             return False
 
-        dfs(0, used, total)
+        branch(relaxed)
         return found
 
     def trade(bi: int, si: int):
@@ -331,7 +323,7 @@ def _solve(m: Market, lists: tuple, banned: list[int], deadline: float | None) -
             if found is None:
                 assigned[bi] = si
                 next_used, next_total = used | (1 << si), total + uos[bi][si]
-                relaxed = relax(assigned, next_used)
+                relaxed = relax(assigned, next_used, {})
                 found = search(assigned, next_used, next_total, target, True, relaxed)
                 assigned[bi] = -1
             if found is not None:

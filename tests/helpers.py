@@ -1,5 +1,6 @@
-"""Shared scenario builders, an independent brute-force oracle, and the
-unpruned matching scan and the baseline policies as references.
+"""Shared scenario builders, two independent oracles (brute force and the
+paper's integer program), and the unpruned matching scan and the baseline
+policies as references.
 
 make_tiny keeps instances small enough (at most 4 buyers, 8 sellers) for
 exhaustive cross-checking; roughly half the draws use a tight contact
@@ -11,12 +12,15 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_matrix
 
 from vcauction import (
     Assignment,
     BrokerPrefList,
     GraphJob,
     JobEdge,
+    Market,
     Scenario,
     ServiceProvider,
     ValuationConfig,
@@ -297,6 +301,52 @@ def independent_best_value(s: Scenario) -> float | None:
         if ok and (best is None or value > best):
             best = value
     return best
+
+
+def milp_optimum(m: Market) -> Assignment | None:
+    """An optimal complete assignment of the compiled market `m`, by the
+    paper's integer program solved with `scipy.optimize.milp` (HiGHS, no
+    relative gap); None when the program is infeasible.
+
+    One binary per C1 cell, worth its UoS. C3: each buyer's cells sum to 1.
+    C4: each seller's sum to at most 1. C2, one clique row per job edge
+    (i, j) and provider p of i: i's cells on p plus j's cells on every
+    provider the edge forbids with p sum to at most 1. HiGHS breaks no
+    ties, so this checks values, not pair lists.
+    """
+    rows, cols = np.nonzero(m.feasible)
+    sp = m.sp_of[cols]
+    a_rows, a_cols, lb, ub = [], [], [], []
+
+    def constraint(cells, low, high) -> None:
+        a_rows.extend([len(lb)] * len(cells))
+        a_cols.extend(cells)
+        lb.append(low)
+        ub.append(high)
+
+    for bi in range(len(m.buyers)):
+        constraint(np.flatnonzero(rows == bi), 1, 1)
+    for si in range(len(m.sellers)):
+        constraint(np.flatnonzero(cols == si), 0, 1)
+    for i, nbrs in enumerate(m.edges):
+        for j, allowed in nbrs:
+            forbidden = ~np.array(allowed, dtype=bool)
+            for p in range(len(allowed)):
+                if forbidden[p].any():
+                    cells = np.flatnonzero(((rows == i) & (sp == p)) | ((rows == j) & forbidden[p][sp]))
+                    constraint(cells, 0, 1)
+    a = coo_matrix((np.ones(len(a_cols)), (a_rows, a_cols)), shape=(len(lb), len(rows)))
+    res = milp(
+        -m.uos[rows, cols],
+        constraints=LinearConstraint(a.tocsr(), lb, ub),
+        integrality=np.ones(len(rows)),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    if res.x is None:
+        return None
+    chosen = np.flatnonzero(res.x > 0.5)
+    return Assignment.from_pairs((m.buyers[rows[c]], m.sellers[cols[c]]) for c in chosen)
 
 
 def reference_baseline(s: Scenario, kind: str, seed: int = 0) -> Assignment | None:

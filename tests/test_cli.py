@@ -226,11 +226,11 @@ def test_verify_infeasible_is_not_a_violation(tmp_path, tiny_config_file, capsys
 
 def test_verify_budget_exceeded(tmp_path, capsys):
     """A budget that runs out in the auction or in the sweeps says so. The
-    input is C2-binding `small` seed 2, whose unbudgeted audit takes about
-    2.6 s on a 2-CPU x86-64 machine."""
+    input is seed 6 of a C2-binding 9-buyer config, whose unbudgeted audit
+    takes about 9.5 s on a 2-CPU x86-64 machine."""
     path = tmp_path / "c2.json"
-    cfg = dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3))
-    path.write_text(scenario_dumps(generate(cfg, seed=2)))
+    cfg = dataclasses.replace(preset("large"), job_types=(2, 3), lambda_range=(0.2, 0.3))
+    path.write_text(scenario_dumps(generate(cfg, seed=6)))
     for budget in ("1", "0.01"):
         start = time.perf_counter()
         assert main(["verify", str(path), "--mechanism", "opt", "--budget-secs", budget]) == 0

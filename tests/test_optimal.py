@@ -42,8 +42,9 @@ from vcauction import (
     verify_truthfulness_opt,
 )
 
+from vcauction.economics import _complete_value
 from vcauction.optimal import _lists, _solve, _sweep
-from helpers import independent_best_value, make_tiny
+from helpers import independent_best_value, make_tiny, milp_optimum
 from test_golden import _opt_run
 
 
@@ -325,6 +326,45 @@ def test_large_exact_auction_completes():
     assert run.objective_value >= matching.objective_value - TOLERANCE
     for sid, payment in run.payments.items():
         assert payment >= s.seller(sid).bid - TOLERANCE
+
+
+C2_SMALL = dataclasses.replace(preset("small"), lambda_range=(0.2, 0.3))
+C2_NINE = dataclasses.replace(preset("large"), job_types=(2, 3), lambda_range=(0.2, 0.3))
+
+
+def _milp_value(m: Market) -> float:
+    """The optimum of the paper's integer program on `m`, which must be
+    feasible, valued by the library's own check of C1-C4."""
+    a = milp_optimum(m)
+    assert a is not None
+    value = _complete_value(m, a)
+    assert value is not None
+    return value
+
+
+def test_exact_values_equal_the_integer_programs_where_c2_binds():
+    """On C2-binding `small` 0-9 and a C2-binding 9-buyer config 0-3, where
+    the root assignment solve often breaks C2 and the provider-label search
+    runs, `solve_optimal`'s objective equals the integer program's optimum."""
+    for cfg, seeds in ((C2_SMALL, range(10)), (C2_NINE, range(4))):
+        for seed in seeds:
+            s = generate(cfg, seed=seed)
+            res = solve_optimal(s)
+            assert abs(res.objective_value - _milp_value(Market(s))) <= TOLERANCE, seed
+
+
+def test_exact_auction_finishes_on_c2_binding_large():
+    """C2-binding `large` seed 6, on which the seller-level search ran past
+    30 s, is solved in about 1.4 s on a 2-CPU x86-64 machine. The value is
+    the integer program's optimum (12.08381), and at least the matching's
+    (11.67281)."""
+    s = generate(dataclasses.replace(preset("large"), lambda_range=(0.2, 0.3)), seed=6)
+    res = solve_optimal(s, deadline=time.perf_counter() + 20.0)
+    assert assignment_feasible(s, res.assignment, require_complete=True)
+    assert abs(res.objective_value - _milp_value(Market(s))) <= TOLERANCE
+    matching = run_mechanism(s, "maxuosg", budget_secs=20.0)
+    assert matching.success
+    assert res.objective_value >= matching.objective_value
 
 
 def test_single_provider_matches_hungarian_oracle():
